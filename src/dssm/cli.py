@@ -5,11 +5,14 @@ CSV output carries '#'-prefixed metadata comments, then a column header, then
 rows with 17-significant-digit numbers (lossless double round-trip).  JSON
 reports are lists of {probe, params, metrics, pass}.  Files are written
 atomically (temp file + rename).  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error, which includes an input row that does not parse and a
+kernel or output with a non-finite value (nothing is written then).
 """
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -84,9 +87,14 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _csv_text(meta: dict, header: list[str], rows) -> str:
@@ -117,24 +125,54 @@ def _write_json(path: str | None, payload) -> None:
     _write_text(path, json.dumps(_jsonable(payload), indent=2) + "\n")
 
 
+def _row_error(problem: str, path: str, lineno: int, line: str) -> UsageError:
+    return UsageError(f"{problem} in {path} line {lineno}: {line!r}")
+
+
 def read_signal_csv(path: str) -> np.ndarray:
-    """Read a single-channel 'l,value' CSV, ignoring '#' comment lines."""
+    """Read a single-channel 'l,value' CSV, ignoring '#' comment lines.
+
+    Only the first non-comment row may be a header (its l field is not an
+    integer).  Every other row must carry l = 0, 1, 2, ... in order and a
+    finite value; anything else is a UsageError naming the row.
+    """
     values = []
+    first = True
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
+            if first:
+                first = False
+                try:
+                    int(parts[0])
+                except ValueError:
+                    continue  # header row
             if len(parts) < 2:
-                raise UsageError(f"malformed row in {path}: {line!r}")
+                raise _row_error("malformed row", path, lineno, line)
             try:
-                values.append(float(parts[1]))
+                index = int(parts[0])
+                value = float(parts[1])
             except ValueError:
-                continue  # header row
+                raise _row_error("unparseable row", path, lineno, line) from None
+            if index != len(values):
+                raise _row_error(f"expected l={len(values)}", path, lineno, line)
+            if not math.isfinite(value):
+                raise _row_error("non-finite sample", path, lineno, line)
+            values.append(value)
     if not values:
         raise UsageError(f"no samples found in {path}")
     return np.asarray(values)
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise UsageError(
+            f"{what} has {bad.size} non-finite value(s), first at l={bad[0]}; nothing written"
+        )
 
 
 def build_spec(config: RunConfig) -> tuple[DiagonalSpec, float]:
@@ -188,6 +226,7 @@ def _kernel_meta(config: RunConfig, kernel: Kernel) -> dict:
 
 def cmd_kernel(config: RunConfig) -> int:
     kernel = build_kernel(config)
+    _require_finite(kernel.values, "kernel")
     rows = ((l, float(v)) for l, v in enumerate(kernel.values))
     _write_text(config.output, _csv_text(_kernel_meta(config, kernel), ["l", "value"], rows))
     return 0
@@ -267,6 +306,7 @@ def cmd_conv(config: RunConfig) -> int:
         if config.softmax:
             raise UsageError("softmax normalization has no recurrent form; use --mode fft")
         out, _ = recurrent_scan(disc, spec.C_half, signal, conj_pairs=spec.conj_pairs)
+    _require_finite(out.samples, "conv output")
     meta = {
         "init": config.init,
         "rule": config.disc,

@@ -1,9 +1,11 @@
 """HiPPO-LegS matrices, their normal variant, and the diagonal spectrum.
 
 The LegS family is built entrywise from closed forms.  The spectrum of the
-normal variant is computed with a self-contained cyclic Jacobi eigensolver
-for complex Hermitian matrices, so nothing here depends on LAPACK-backed
-routines.
+normal variant needs eigenvalues only: a Householder reduction of its
+skew-symmetric part to skew-tridiagonal form, then Sturm-count bisection.
+A self-contained cyclic Jacobi eigensolver for complex Hermitian matrices
+supplies eigenvectors where they are needed.  Nothing here depends on
+LAPACK-backed routines.
 """
 
 from dataclasses import dataclass
@@ -210,15 +212,89 @@ def hermitian_eigendecompose(
     return Spectrum(eigenvalues=eigenvalues[order].astype(complex)), V[:, order]
 
 
+def _skew_tridiagonal_offdiagonal(S: np.ndarray) -> np.ndarray:
+    """Off-diagonal magnitudes |b_k| of a skew-tridiagonal form of real skew S.
+
+    Householder reflectors H = I - 2 v v^T (unit v) zero S[k+2:, k] one column
+    at a time.  Since v^T sub v = 0 for skew-symmetric sub, H sub H reduces to
+    the rank-2 update sub += 2 (v w^T - w v^T) with w = sub @ v.
+    """
+    S = np.array(S, dtype=float)
+    n = S.shape[0]
+    b = np.empty(max(n - 1, 0))
+    for k in range(n - 2):
+        x = S[k + 1 :, k]
+        norm = np.sqrt(x @ x)
+        b[k] = norm
+        if norm == 0.0:
+            continue
+        v = x.copy()
+        v[0] += np.copysign(norm, x[0])
+        v /= np.sqrt(v @ v)
+        sub = S[k + 1 :, k + 1 :]
+        w = sub @ v
+        sub += np.stack((v, w), axis=1) @ np.stack((2.0 * w, -2.0 * v))
+    if n >= 2:
+        b[n - 2] = abs(S[n - 1, n - 2])
+    return b
+
+
+def _zero_diagonal_tridiagonal_eigenvalues(e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal with zero diagonal
+    and off-diagonal e, by Sturm-count bisection.
+
+    All n eigenvalues are bisected at once: each pass runs the pivot
+    recurrence q_k = -x - e_{k-1}^2 / q_{k-1} over k for the n midpoints
+    together, and the number of negative pivots counts the eigenvalues below
+    each midpoint.  A pivot smaller than pivmin in magnitude is replaced by
+    -pivmin (as in LAPACK dstebz), so a zero pivot never divides by zero and
+    e^2 / pivmin cannot overflow.  An interval stops once its width is at most
+    2 eps |x| + eps ||T||, the absolute floor letting an eigenvalue at zero
+    (odd n has one) finish with the rest instead of bisecting into subnormals.
+    """
+    n = len(e) + 1
+    e2 = e * e
+    eps = np.finfo(float).eps
+    padded = np.concatenate(([0.0], e, [0.0]))
+    # Gershgorin radius, widened so rounding cannot leave an end eigenvalue out
+    bound = float((padded[:-1] + padded[1:]).max()) * (1.0 + 4.0 * eps)
+    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    lo = np.full(n, -bound)
+    hi = np.full(n, bound)
+    index = np.arange(n)
+    pivots = np.empty((n, n))
+    magnitude = np.empty(n)
+    small = np.empty(n, dtype=bool)
+    while (hi - lo > 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)) + eps * bound).any():
+        mid = 0.5 * (lo + hi)
+        shifted = -mid
+        pivots[0] = shifted
+        for k in range(n):
+            q = pivots[k]
+            if k:
+                np.divide(e2[k - 1], pivots[k - 1], out=q)
+                np.subtract(shifted, q, out=q)
+            np.abs(q, out=magnitude)
+            np.less(magnitude, pivmin, out=small)
+            np.copyto(q, -pivmin, where=small)
+        below = np.count_nonzero(pivots < 0.0, axis=0) > index
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    return 0.5 * (lo + hi)
+
+
 _spectrum_cache: dict[int, np.ndarray] = {}
 
 
 def hippo_d_spectrum(N: int) -> Spectrum:
     """Eigenvalues of the normal LegS variant, sorted by descending Im.
 
-    Splits A_normal = -I/2 + S with S real skew-symmetric, diagonalizes the
-    Hermitian matrix iS, and maps each real eigenvalue u back to -1/2 - iu.
-    All real parts are therefore exactly -1/2.  Results are cached per N.
+    Splits A_normal = -I/2 + S with S real skew-symmetric.  A Householder
+    reduction takes S to skew-tridiagonal form T; iT has the eigenvalues of
+    the symmetric tridiagonal with zero diagonal and off-diagonals |b_k|,
+    which Sturm bisection finds without eigenvectors.  Each real eigenvalue u
+    of iS maps back to -1/2 - iu, so all real parts are exactly -1/2.
+    Results are cached per N.
     """
     if N < 1:
         raise ValueError("state size must be >= 1")
@@ -227,8 +303,8 @@ def hippo_d_spectrum(N: int) -> Spectrum:
         return Spectrum(eigenvalues=cached.copy())
     normal = make_hippo_normal(N)
     S = normal.A + 0.5 * np.eye(N)
-    spectrum, _ = hermitian_eigendecompose(1j * S)
-    values = -0.5 - 1j * spectrum.eigenvalues.real
+    u = _zero_diagonal_tridiagonal_eigenvalues(_skew_tridiagonal_offdiagonal(S))
+    values = -0.5 - 1j * u
     order = np.argsort(-values.imag, kind="stable")
     values = values[order]
     _spectrum_cache[N] = values.copy()

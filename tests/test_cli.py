@@ -43,6 +43,36 @@ class TestKernelCommand:
         assert out.exists()
         assert not (tmp_path / "k.csv.tmp").exists()
 
+    @pytest.mark.parametrize("fail_in", ["write", "replace"])
+    def test_failed_write_removes_temp_file(self, tmp_path, monkeypatch, fail_in):
+        from dssm import cli
+
+        def failing_replace(src, dst):
+            raise OSError(18, "Invalid cross-device link")
+
+        text = "l,value\n0,1.0\n"
+        if fail_in == "write":
+            text += "1,\ud800\n"  # a lone surrogate cannot be encoded as UTF-8
+        else:
+            monkeypatch.setattr(cli.os, "replace", failing_replace)
+        out = tmp_path / "k.csv"
+        with pytest.raises((OSError, UnicodeEncodeError)):
+            cli._write_text(str(out), text)
+        assert not out.exists()
+        assert not (tmp_path / "k.csv.tmp").exists()
+
+    def test_non_finite_kernel_exits_two_writing_nothing(self, tmp_path, capsys):
+        argv = ["kernel", "--init", "lin", "--N", "8", "--L", "64", "--dt", "1e308", "--disc", "zoh"]
+        with np.errstate(all="ignore"):
+            code, out, err = run(argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert "non-finite" in err
+            path = tmp_path / "k.csv"
+            assert main(argv + ["-o", str(path)]) == 2
+        assert not path.exists()
+        assert not (tmp_path / "k.csv.tmp").exists()
+
     def test_preset_s4d_equals_default_flags(self, tmp_path):
         a = tmp_path / "default.csv"
         b = tmp_path / "preset.csv"
@@ -199,6 +229,55 @@ class TestConvCommand:
         code, _, err = run(["conv", "--input", str(empty), "--N", "8", "--dt", "0.01"], capsys)
         assert code == 2
         assert "no samples" in err
+
+
+    def test_rejects_unparseable_row_instead_of_dropping_it(self, tmp_path, capsys):
+        signal = tmp_path / "u.csv"
+        signal.write_text("l,value\n0,1.0\n1,abc\n2,3.0\n3,nan\n")
+        out = tmp_path / "y.csv"
+        code, _, err = run(["conv", "--input", str(signal), "--init", "lin", "--N", "8",
+                            "--dt", "0.01", "-o", str(out)], capsys)
+        assert code == 2
+        assert "line 3: '1,abc'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("l,value\n0,1.0\n1,nan\n", "non-finite sample"),
+            ("0,1.0\n1,-inf\n", "non-finite sample"),
+            ("l,value\n0,1.0\n2,3.0\n", "expected l=1"),
+            ("l,value\n1,1.0\n", "expected l=0"),
+            ("l,value\n0,1.0\nl,value\n1,2.0\n", "unparseable row"),
+            ("l,value\n0,1.0\n1\n", "malformed row"),
+        ],
+    )
+    def test_invalid_rows_are_usage_errors(self, tmp_path, capsys, text, message):
+        signal = tmp_path / "u.csv"
+        signal.write_text(text)
+        code, out, err = run(["conv", "--input", str(signal), "--init", "lin", "--N", "8",
+                              "--dt", "0.01"], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_headerless_input_keeps_first_row(self, tmp_path):
+        signal = tmp_path / "u.csv"
+        signal.write_text("# comment\n0,1.5\n1,-2.0\n")
+        np.testing.assert_array_equal(read_signal_csv(str(signal)), [1.5, -2.0])
+
+    @pytest.mark.parametrize("mode", ["fft", "scan"])
+    def test_non_finite_output_exits_two(self, tmp_path, capsys, mode):
+        signal = tmp_path / "u.csv"
+        signal.write_text("l,value\n0,1.0\n1,0.0\n2,0.0\n")
+        out = tmp_path / "y.csv"
+        with np.errstate(all="ignore"):
+            code, _, err = run(["conv", "--input", str(signal), "--init", "lin", "--N", "8",
+                                "--dt", "1e308", "--disc", "zoh", "--mode", mode,
+                                "-o", str(out)], capsys)
+        assert code == 2
+        assert "non-finite" in err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

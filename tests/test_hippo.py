@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from dssm import hippo
 from dssm.hippo import (
     DenseSpec,
     hermitian_eigendecompose,
@@ -182,13 +185,23 @@ class TestHippoDSpectrum:
         middle = scaled[len(positive) // 4 : 3 * len(positive) // 4]
         assert middle.max() / middle.min() <= 4.0
 
-    def test_matches_lapack_oracle(self):
-        N = 48
+    @pytest.mark.parametrize("N", [1, 2, 3, 9, 48, 255, 256])
+    def test_matches_lapack_oracle(self, N):
         values = hippo_d_spectrum(N).eigenvalues
-        reference = np.linalg.eigvals(make_hippo_normal(N).A)
-        np.testing.assert_allclose(
-            np.sort(values.imag), np.sort(reference.imag), atol=1e-9
-        )
+        S = make_hippo_normal(N).A + 0.5 * np.eye(N)
+        # eigenvalue u of iS maps to -1/2 - iu
+        reference = np.linalg.eigvalsh(1j * S)
+        error = np.abs(np.sort(-values.imag) - reference).max()
+        assert error <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("N", [9, 255])
+    def test_odd_n_raises_no_floating_point_warning(self, N, monkeypatch):
+        # odd N puts an exact zero pivot in the Sturm recurrence
+        monkeypatch.setattr(hippo, "_spectrum_cache", {})
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = hippo_d_spectrum(N).eigenvalues
+        assert np.isfinite(values).all()
 
 
 class TestDenseSpecValidation:
