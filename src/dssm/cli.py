@@ -1,12 +1,13 @@
 """Command-line front end: kernels, bases, spectra, convolution, verification
-probes, and the materialized-vs-streaming benchmark.
+probes, and the kernel chunk-schedule benchmark.
 
 CSV output carries '#'-prefixed metadata comments, then a column header, then
 rows with 17-significant-digit numbers (lossless double round-trip).  JSON
 reports are lists of {probe, params, metrics, pass}.  Files are written
 atomically (temp file + rename).  Exit codes: 0 success, 1 verification
-failure, 2 usage error, which includes an input row that does not parse and a
-kernel or output with a non-finite value (nothing is written then).
+failure, 2 usage error, which includes an input row that does not parse, an
+input or output file that cannot be opened, and a kernel or output with a
+non-finite value (nothing is written then).
 """
 
 import argparse
@@ -33,11 +34,12 @@ from .inits import (
 )
 from .kernel import (
     Kernel,
+    _kernel,
+    _weights,
     dss_softmax_kernel,
     sample_basis,
     track_allocations,
     vandermonde_kernel,
-    vandermonde_kernel_streaming,
 )
 from . import oracle
 
@@ -168,11 +170,18 @@ def read_signal_csv(path: str) -> np.ndarray:
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        where = ",".join(str(i) for i in bad[0])
         raise UsageError(
-            f"{what} has {bad.size} non-finite value(s), first at l={bad[0]}; nothing written"
+            f"{what} has {len(bad)} non-finite value(s), first at index {where}; nothing written"
         )
+
+
+def _require_positive_finite(value: float, flag: str) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"{flag} must be finite and positive, got {value}")
+    return float(value)
 
 
 def build_spec(config: RunConfig) -> tuple[DiagonalSpec, float]:
@@ -181,11 +190,11 @@ def build_spec(config: RunConfig) -> tuple[DiagonalSpec, float]:
     spec = make_init(config.init, config.N, seed=config.seed)
     spec.C_half = init_C(spec.n_half, config.seed + 1)
     if config.dt is not None:
-        if config.dt <= 0:
-            raise UsageError("--dt must be positive")
-        dt = float(config.dt)
+        dt = _require_positive_finite(config.dt, "--dt")
     else:
-        dt = float(np.exp(init_log_dt(config.dt_min, config.dt_max, config.seed + 2)))
+        dt_min = _require_positive_finite(config.dt_min, "--dt-min")
+        dt_max = _require_positive_finite(config.dt_max, "--dt-max")
+        dt = float(np.exp(init_log_dt(dt_min, dt_max, config.seed + 2)))
     spec.log_dt = float(np.log(dt))
     if config.b_mode == "random":
         rng = np.random.default_rng(config.seed + 3)
@@ -254,6 +263,8 @@ def cmd_basis(config: RunConfig) -> int:
         name = f"dense-{dense}"
     rows_limit = config.extra["rows"]
     values = table.values[:rows_limit] if rows_limit else table.values
+    _require_finite(t, "basis time grid")
+    _require_finite(values, "basis")
     meta = {"basis": name, "N": config.N, "rows": values.shape[0], "points": len(t)}
     rows = (
         (n, float(t[j]), float(values[n, j].real), float(np.imag(values[n, j])))
@@ -524,19 +535,22 @@ def _bench_cell(config: RunConfig, N: int, L: int, repeats: int):
             best = min(best, time.perf_counter() - start)
         return kernel, best, tally.scalars
 
-    k_mat, t_mat, alloc_mat = run(vandermonde_kernel)
-    k_str, t_str, alloc_str = run(vandermonde_kernel_streaming)
-    meta = _kernel_meta(cell_config, k_mat)
-    csv_mat = _csv_text(meta, ["l", "value"], ((l, float(v)) for l, v in enumerate(k_mat.values)))
+    def one_chunk(spec, disc, L):
+        return _kernel(spec, disc, L, _weights(spec, disc), chunk=L)
+
+    k_str, t_str, alloc_str = run(vandermonde_kernel)
+    k_one, t_one, alloc_one = run(one_chunk)
+    meta = _kernel_meta(cell_config, k_str)
     csv_str = _csv_text(meta, ["l", "value"], ((l, float(v)) for l, v in enumerate(k_str.values)))
+    csv_one = _csv_text(meta, ["l", "value"], ((l, float(v)) for l, v in enumerate(k_one.values)))
     return {
         "N": N,
         "L": L,
-        "time_materialized": t_mat,
         "time_streaming": t_str,
-        "alloc_materialized": alloc_mat,
+        "time_one_chunk": t_one,
         "alloc_streaming": alloc_str,
-        "identical_csv": csv_mat.encode() == csv_str.encode(),
+        "alloc_one_chunk": alloc_one,
+        "identical_csv": csv_str.encode() == csv_one.encode(),
     }
 
 
@@ -705,10 +719,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _resolve_config(args)
         return _COMMANDS[args.subcommand](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

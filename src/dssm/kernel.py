@@ -1,11 +1,10 @@
 """Discrete convolution kernels for diagonal SSMs.
 
 The kernel is K_l = 2 Re( sum_n C_n B_bar_n A_bar_n^l ) over the
-half-spectrum (factor 1 instead of 2 for purely real specs).  Two variants
-compute it: one materializes the full (N/2, L) power matrix, the other
-streams over L in fixed-size chunks using O(N + chunk) auxiliary memory.
-Both produce bit-identical output because they share the same running-product
-chains and the same fixed-order pairwise reduction over n.
+half-spectrum (factor 1 instead of 2 for purely real specs).  One engine
+computes it for both the Vandermonde and the DSS softmax kernel: it streams
+over L in fixed-size chunks with O(N + chunk) auxiliary memory, and its
+output does not depend on the chunk schedule, bit for bit.
 """
 
 from contextlib import contextmanager
@@ -26,7 +25,6 @@ __all__ = [
     "AllocationTally",
     "track_allocations",
     "vandermonde_kernel",
-    "vandermonde_kernel_streaming",
     "dss_softmax_kernel",
     "sample_basis",
 ]
@@ -36,7 +34,8 @@ __all__ = [
 PAIR_OUTPUT_WEIGHT = 2.0
 
 # Streaming chunk length (build-time constant; buffers are allocated at this
-# size regardless of L so auxiliary memory does not scale with the problem).
+# size plus two regardless of L so auxiliary memory does not scale with the
+# problem).
 STREAM_CHUNK = 4096
 
 
@@ -110,115 +109,79 @@ def _output_weight(spec: DiagonalSpec) -> float:
     return PAIR_OUTPUT_WEIGHT if spec.conj_pairs else 1.0
 
 
-def _pairwise_merge(emit, count: int, width: int, levels: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
-    """Binary-counter pairwise summation of `count` emitted vectors.
+def _kernel_values(
+    w: np.ndarray, a: np.ndarray, L: int, out_weight: float, chunk: int = STREAM_CHUNK
+) -> np.ndarray:
+    """out_weight * Re(sum_n w_n a_n^l) for l < L, walked over L in chunks.
 
-    emit(i, buf) must write term i into buf[:width].  The merge order is a
-    pure function of `count`, so any two callers with the same count perform
-    bit-identical additions.
+    Each mode keeps one running power; a chunk's powers come from a cumprod
+    seeded with it, and the weighted terms are summed over n by a
+    binary-counter pairwise merge whose order depends only on the mode count.
+    Buffers hold chunk + 2 samples whatever L is, so auxiliary memory is
+    O(N + chunk).
+
+    The output does not depend on `chunk`, bit for bit.  numpy rounds a
+    2-element complex cumprod, and an in-place 1-element complex multiply,
+    differently from the same element inside a longer array; so the final
+    chunk absorbs a remainder of 1-2 samples, and terms are multiplied out of
+    the powers buffer into the merge buffer, never in place.
     """
-    filled = [False] * levels.shape[0]
-    for i in range(count):
-        emit(i, tmp)
-        k = 0
-        while filled[k]:
-            tmp[:width] += levels[k, :width]
-            filled[k] = False
-            k += 1
-        levels[k, :width] = tmp[:width]
-        filled[k] = True
-    first = True
-    for k in range(levels.shape[0]):
-        if filled[k]:
-            if first:
-                out[:width] = levels[k, :width]
-                first = False
-            else:
-                out[:width] += levels[k, :width]
-
-
-def _merge_depth(count: int) -> int:
-    return max(1, count.bit_length())
-
-
-def _materialized_values(w: np.ndarray, a: np.ndarray, L: int, out_weight: float) -> np.ndarray:
     n_half = len(a)
-    powers = np.empty((n_half, L), dtype=complex)
-    _note_alloc(n_half * L)
-    powers[:, 0] = 1.0
-    if L > 1:
-        powers[:, 1:] = a[:, None]
-    np.cumprod(powers, axis=1, out=powers)
+    size = chunk + 2
+    running = np.ones(n_half, dtype=complex)
+    powers = np.empty(size, dtype=complex)
+    term = np.empty(size, dtype=complex)
+    levels = np.empty((max(1, n_half.bit_length()), size), dtype=complex)
+    _note_alloc(n_half + (levels.shape[0] + 2) * size)
 
-    depth = _merge_depth(n_half)
-    levels = np.empty((depth, L), dtype=complex)
-    tmp = np.empty(L, dtype=complex)
-    acc = np.empty(L, dtype=complex)
-    _note_alloc((depth + 2) * L)
+    out = np.empty(L, dtype=float)
+    start = 0
+    while start < L:
+        width = L - start if L - start <= size else chunk
+        p, t, lv = powers[:width], term[:width], levels[:, :width]
+        filled = [False] * len(lv)
+        for i in range(n_half):
+            p[0] = running[i]
+            p[1:] = a[i]
+            np.cumprod(p, out=p)
+            running[i] = p[-1] * a[i]
+            np.multiply(p, w[i], out=t)
+            k = 0
+            while filled[k]:
+                t += lv[k]
+                filled[k] = False
+                k += 1
+            lv[k] = t
+            filled[k] = True
+        # fold the partial sums from the lowest level up
+        ks = [k for k in range(len(lv)) if filled[k]]
+        t[:] = lv[ks[0]]
+        for k in ks[1:]:
+            t += lv[k]
+        out[start : start + width] = out_weight * t.real
+        start += width
+    return out
 
-    def emit(i: int, buf: np.ndarray) -> None:
-        np.multiply(powers[i], w[i], out=buf[:L])
 
-    _pairwise_merge(emit, n_half, L, levels, tmp, acc)
-    return out_weight * acc.real
-
-
-def vandermonde_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kernel:
-    """Kernel via the materialized power (Vandermonde) matrix.
-
-    Powers are built by running products along each row rather than through
-    the complex logarithm, so no branch-cut issues arise; decay for long L
-    relies on |A_bar_n| < 1 from the stability constraint.
-    """
-    if L < 1:
-        raise ValueError("kernel length must be >= 1")
-    w = _weights(spec, disc)
-    values = _materialized_values(w, disc.A_bar, L, _output_weight(spec))
+def _kernel(
+    spec: DiagonalSpec, disc: DiscreteParams, L: int, w: np.ndarray, chunk: int = STREAM_CHUNK
+) -> Kernel:
+    values = _kernel_values(w, disc.A_bar, L, _output_weight(spec), chunk)
     meta = KernelMeta(init=spec.name, rule=disc.rule, N=spec.N, dt=disc.dt)
     return Kernel(values=values, L=L, meta=meta)
 
 
-def vandermonde_kernel_streaming(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kernel:
-    """Same values as vandermonde_kernel, with O(N + chunk) auxiliary memory.
+def vandermonde_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kernel:
+    """Kernel as the Vandermonde product of the weights C_n B_bar_n with the
+    powers A_bar_n^l, streamed over L with O(N + chunk) auxiliary memory.
 
-    Maintains one running power per mode and walks L in chunks whose buffers
-    are preallocated at the build-time chunk size.  Output is bit-identical
-    to the materialized variant.
+    Powers are built by running products rather than through the complex
+    logarithm, so no branch-cut issues arise; decay for long L relies on
+    |A_bar_n| < 1 from the stability constraint.
     """
     if L < 1:
         raise ValueError("kernel length must be >= 1")
-    w = _weights(spec, disc)
-    a = disc.A_bar
-    n_half = len(a)
-    out_weight = _output_weight(spec)
-
-    out = np.empty(L, dtype=float)
-    running = np.ones(n_half, dtype=complex)
-    _note_alloc(n_half)
-
-    depth = _merge_depth(n_half)
-    levels = np.empty((depth, STREAM_CHUNK), dtype=complex)
-    tmp = np.empty(STREAM_CHUNK, dtype=complex)
-    acc = np.empty(STREAM_CHUNK, dtype=complex)
-    _note_alloc((depth + 2) * STREAM_CHUNK)
-
-    start = 0
-    while start < L:
-        width = min(STREAM_CHUNK, L - start)
-
-        def emit(i: int, buf: np.ndarray) -> None:
-            buf[0] = running[i]
-            buf[1:width] = a[i]
-            np.cumprod(buf[:width], out=buf[:width])
-            running[i] = buf[width - 1] * a[i]
-            np.multiply(buf[:width], w[i], out=buf[:width])
-
-        _pairwise_merge(emit, n_half, width, levels, tmp, acc)
-        out[start : start + width] = out_weight * acc[:width].real
-        start += width
-
-    meta = KernelMeta(init=spec.name, rule=disc.rule, N=spec.N, dt=disc.dt)
-    return Kernel(values=out, L=L, meta=meta)
+    return _kernel(spec, disc, L, _weights(spec, disc))
 
 
 def _int_power(a: np.ndarray, exponent: int) -> np.ndarray:
@@ -271,9 +234,7 @@ def dss_softmax_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kern
             f"{np.flatnonzero(degenerate).tolist()}"
         )
 
-    values = _materialized_values(w / row_sums, a, L, _output_weight(spec))
-    meta = KernelMeta(init=spec.name, rule=disc.rule, N=spec.N, dt=disc.dt)
-    return Kernel(values=values, L=L, meta=meta)
+    return _kernel(spec, disc, L, w / row_sums)
 
 
 def _uniform_spacing(t: np.ndarray) -> float | None:

@@ -167,7 +167,7 @@ def test_criterion_07_streaming_bench(tmp_path):
     alloc_ratio = by_key[(1024, 16384)] / by_key[(64, 1024)]
     ok = code == 0 and identical and exponent < 0.2 and alloc_ratio < 10.0
     line = announce(
-        7, "streaming-vs-materialized", ok,
+        7, "streaming-vs-one-chunk", ok,
         f"identical_csv={identical}, alloc_fit_exponent={exponent:.4f}, "
         f"alloc_ratio={alloc_ratio:.2f}",
     )

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,34 @@ class TestKernelCommand:
             assert main(argv + ["-o", str(path)]) == 2
         assert not path.exists()
         assert not (tmp_path / "k.csv.tmp").exists()
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, target):
+        # a missing directory fails the open; an existing directory fails the rename
+        if target == "directory":
+            path = tmp_path / "k.csv"
+            path.mkdir()
+        else:
+            path = tmp_path / "missing" / "k.csv"
+        code, out, err = run(["kernel", "--init", "lin", "--N", "8", "--L", "4", "--dt", "0.01",
+                              "-o", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--dt", "nan"), ("--dt", "inf"), ("--dt", "-1"), ("--dt-min", "nan"), ("--dt-max", "inf")],
+    )
+    def test_timescale_flags_must_be_finite_and_positive(self, capsys, flag, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["kernel", "--init", "lin", "--N", "8", "--L", "4",
+                                  f"{flag}={value}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: {flag} must be finite and positive" in err
 
     def test_preset_s4d_equals_default_flags(self, tmp_path):
         a = tmp_path / "default.csv"
@@ -166,6 +195,21 @@ class TestBasisCommand:
         assert len(data_rows) == 2
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--t-max", "nan"], ["--re-mode", "identity", "--t-max", "1e308"]],
+        ids=["nan-grid", "overflowing-samples"],
+    )
+    def test_non_finite_output_exits_two_writing_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "basis.csv"
+        with np.errstate(all="ignore"):
+            code, _, err = run(["basis", "--init", "lin", "--N", "8", "--points", "3", *flags,
+                                "-o", str(out)], capsys)
+        assert code == 2
+        assert "non-finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSpectrumCommand:
     def test_single_family_csv(self, capsys):
         code, out, _ = run(["spectrum", "--init", "inv", "--N", "8"], capsys)
@@ -230,6 +274,14 @@ class TestConvCommand:
         assert code == 2
         assert "no samples" in err
 
+
+    def test_missing_input_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "y.csv"
+        code, _, err = run(["conv", "--input", str(tmp_path / "absent.csv"), "--N", "8",
+                            "--dt", "0.01", "-o", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "absent.csv" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_unparseable_row_instead_of_dropping_it(self, tmp_path, capsys):
         signal = tmp_path / "u.csv"

@@ -8,11 +8,11 @@ from dssm.inits import DiagonalSpec, init_C, init_lin, init_real
 from dssm.kernel import (
     PAIR_OUTPUT_WEIGHT,
     STREAM_CHUNK,
+    _kernel_values,
     dss_softmax_kernel,
     sample_basis,
     track_allocations,
     vandermonde_kernel,
-    vandermonde_kernel_streaming,
 )
 from dssm.oracle import legendre_basis_table, random_stable_spec
 
@@ -137,22 +137,29 @@ class TestVandermondeKernel:
             vandermonde_kernel(spec, disc, 0)
 
 
+def one_chunk_values(spec, disc, L, weights=None):
+    """The kernel engine with a single chunk spanning all L samples."""
+    w = spec.C_half * disc.B_bar if weights is None else weights
+    return _kernel_values(w, disc.A_bar, L, PAIR_OUTPUT_WEIGHT, chunk=L)
+
+
 class TestStreamingVariant:
+    # the one-chunk schedule is what a materialized power matrix computes
     @pytest.mark.parametrize("L", [1, 7, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 1, 3 * STREAM_CHUNK + 17])
     def test_bit_identical_to_materialized(self, L):
         rng = np.random.default_rng(L)
         spec, dt = random_stable_spec(rng)
         disc = discretize(spec.A_half, spec.B_half, dt, "bilinear")
-        materialized = vandermonde_kernel(spec, disc, L)
-        streaming = vandermonde_kernel_streaming(spec, disc, L)
-        np.testing.assert_array_equal(streaming.values, materialized.values)
-        assert np.abs(streaming.values - materialized.values).max() <= 1e-12
+        materialized = one_chunk_values(spec, disc, L)
+        streaming = vandermonde_kernel(spec, disc, L)
+        np.testing.assert_array_equal(streaming.values, materialized)
+        assert np.abs(streaming.values - materialized).max() <= 1e-12
 
     def test_single_step_value(self):
         spec = one_pair_spec()
         spec.C_half = np.array([0.3 - 0.4j])
         disc = manual_disc([0.5 + 0.1j], [2.0])
-        kernel = vandermonde_kernel_streaming(spec, disc, 1)
+        kernel = vandermonde_kernel(spec, disc, 1)
         expected = 2 * (spec.C_half * disc.B_bar).sum().real
         np.testing.assert_allclose(kernel.values, [expected], rtol=1e-15)
 
@@ -163,12 +170,35 @@ class TestStreamingVariant:
         allocs = {}
         for L in (1024, 65536):
             with track_allocations() as tally:
-                vandermonde_kernel_streaming(spec, disc, L)
+                vandermonde_kernel(spec, disc, L)
             allocs[L] = tally.scalars
         assert allocs[1024] == allocs[65536]
         with track_allocations() as tally:
-            vandermonde_kernel(spec, disc, 65536)
+            one_chunk_values(spec, disc, 65536)
         assert allocs[65536] < tally.scalars / 10
+
+
+class TestChunkSchedule:
+    C = STREAM_CHUNK
+    LENGTHS = [1, 2, 3, C - 1, C, C + 1, C + 2, C + 3, 2 * C + 1, 2 * C + 2, 3 * C + 17]
+
+    @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+    def test_output_independent_of_chunk_schedule(self, rule):
+        # lengths 1-2 past a chunk boundary are where a short remainder chunk
+        # would round differently from the same samples inside one chunk
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            spec, dt = random_stable_spec(rng)
+            disc = discretize(spec.A_half, spec.B_half, dt, rule)
+            plain = spec.C_half * disc.B_bar
+            for L in self.LENGTHS:
+                row_sums = (disc.A_bar**L - 1.0) / (disc.A_bar - 1.0)
+                for w in (plain, plain / row_sums):
+                    np.testing.assert_array_equal(
+                        _kernel_values(w, disc.A_bar, L, PAIR_OUTPUT_WEIGHT),
+                        one_chunk_values(spec, disc, L, w),
+                        err_msg=f"L={L}",
+                    )
 
 
 class TestDssSoftmaxKernel:
