@@ -1,6 +1,11 @@
 """Command-line front end: kernels, bases, spectra, convolution, verification
 probes, and the kernel chunk-schedule benchmark.
 
+The parsed argparse namespace is the only configuration object: every
+subcommand reads its flags from it.  argparse parses the comma-separated
+lists; `_resolve_config` only adds the SSM_SEED seed fallback, fills kernel
+flags left unset from the preset, and rejects softmax without ZOH.
+
 CSV output carries '#'-prefixed metadata comments, then a column header, then
 rows with 17-significant-digit numbers (lossless double round-trip).  JSON
 reports are lists of {probe, params, metrics, pass}.  Files are written
@@ -17,7 +22,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,32 +56,9 @@ PRESETS = {
     "dss": {"disc": "zoh", "re_mode": "identity", "b_mode": "ones", "softmax": True},
 }
 
-_DEFAULTS = PRESETS["s4d"]
-
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Validated flag set for one CLI invocation."""
-
-    subcommand: str
-    init: str = "legsd"
-    N: int = 64
-    L: int = 1024
-    dt: float | None = None
-    dt_min: float = 1e-3
-    dt_max: float = 1e-1
-    seed: int = 0
-    disc: str = "bilinear"
-    re_mode: str = "exp"
-    b_mode: str = "random"
-    softmax: bool = False
-    output: str | None = None
-    fmt: str = "csv"
-    extra: dict = field(default_factory=dict)
 
 
 def _fmt(value: float) -> str:
@@ -93,9 +74,12 @@ def _write_text(path: str | None, text: str) -> None:
         with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            # name the path the caller gave, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -184,7 +168,7 @@ def _require_positive_finite(value: float, flag: str) -> float:
     return float(value)
 
 
-def build_spec(config: RunConfig) -> tuple[DiagonalSpec, float]:
+def build_spec(config: argparse.Namespace) -> tuple[DiagonalSpec, float]:
     """Materialize the configured initialization, C, B, timescale, and the
     real-part transform; returns the spec (with constrained A) and dt."""
     spec = make_init(config.init, config.N, seed=config.seed)
@@ -211,7 +195,7 @@ def build_spec(config: RunConfig) -> tuple[DiagonalSpec, float]:
     return spec, dt
 
 
-def build_kernel(config: RunConfig) -> Kernel:
+def build_kernel(config: argparse.Namespace) -> Kernel:
     spec, dt = build_spec(config)
     disc = discretize(spec.A_half, spec.B_half, dt, config.disc)
     if config.softmax:
@@ -219,7 +203,7 @@ def build_kernel(config: RunConfig) -> Kernel:
     return vandermonde_kernel(spec, disc, config.L)
 
 
-def _kernel_meta(config: RunConfig, kernel: Kernel) -> dict:
+def _kernel_meta(config: argparse.Namespace, kernel: Kernel) -> dict:
     return {
         "init": kernel.meta.init,
         "rule": kernel.meta.rule,
@@ -233,7 +217,7 @@ def _kernel_meta(config: RunConfig, kernel: Kernel) -> dict:
     }
 
 
-def cmd_kernel(config: RunConfig) -> int:
+def cmd_kernel(config: argparse.Namespace) -> int:
     kernel = build_kernel(config)
     _require_finite(kernel.values, "kernel")
     rows = ((l, float(v)) for l, v in enumerate(kernel.values))
@@ -241,9 +225,11 @@ def cmd_kernel(config: RunConfig) -> int:
     return 0
 
 
-def cmd_basis(config: RunConfig) -> int:
-    t = np.linspace(0.0, config.extra["t_max"], config.extra["points"])
-    dense = config.extra["dense"]
+def cmd_basis(config: argparse.Namespace) -> int:
+    if config.rows < 0:
+        raise UsageError(f"--rows must be nonnegative (0 means all rows), got {config.rows}")
+    t = np.linspace(0.0, config.t_max, config.points)
+    dense = config.dense
     if dense is None:
         spec, _ = build_spec(config)
         table = sample_basis(spec, t)
@@ -261,8 +247,7 @@ def cmd_basis(config: RunConfig) -> int:
         else:
             raise UsageError(f"unknown dense basis '{dense}'")
         name = f"dense-{dense}"
-    rows_limit = config.extra["rows"]
-    values = table.values[:rows_limit] if rows_limit else table.values
+    values = table.values[: config.rows] if config.rows else table.values
     _require_finite(t, "basis time grid")
     _require_finite(values, "basis")
     meta = {"basis": name, "N": config.N, "rows": values.shape[0], "points": len(t)}
@@ -278,8 +263,8 @@ def cmd_basis(config: RunConfig) -> int:
 _SPECTRUM_FAMILIES = ("legsd", "inv", "inv2", "quad", "lin")
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    families = _SPECTRUM_FAMILIES if config.extra["all"] else (config.init,)
+def cmd_spectrum(config: argparse.Namespace) -> int:
+    families = _SPECTRUM_FAMILIES if config.all else (config.init,)
     specs = {name: make_init(name, config.N, seed=config.seed) for name in families}
     if config.fmt == "json":
         payload = {
@@ -301,13 +286,13 @@ def cmd_spectrum(config: RunConfig) -> int:
     return 0
 
 
-def cmd_conv(config: RunConfig) -> int:
-    samples = read_signal_csv(config.extra["input"])
+def cmd_conv(config: argparse.Namespace) -> int:
+    samples = read_signal_csv(config.input)
     config.L = len(samples)
     spec, dt = build_spec(config)
     disc = discretize(spec.A_half, spec.B_half, dt, config.disc)
     signal = Signal(samples=samples)
-    if config.extra["mode"] == "fft":
+    if config.mode == "fft":
         if config.softmax:
             kernel = dss_softmax_kernel(spec, disc, config.L)
         else:
@@ -325,7 +310,7 @@ def cmd_conv(config: RunConfig) -> int:
         "dt": _fmt(dt),
         "L": config.L,
         "seed": config.seed,
-        "mode": config.extra["mode"],
+        "mode": config.mode,
     }
     rows = ((l, float(v)) for l, v in enumerate(np.atleast_1d(out.samples)))
     _write_text(config.output, _csv_text(meta, ["l", "value"], rows))
@@ -473,62 +458,39 @@ def _probe_dss(seed):
     }
 
 
-PROBES = (
-    "proposition",
-    "conjecture",
-    "theorem",
-    "legendre",
-    "duality",
-    "stability",
-    "perturbation",
-    "dss",
-)
+_PROBES = {
+    "proposition": lambda config: _probe_proposition(config.N_list),
+    "conjecture": lambda config: _probe_conjecture(max(config.N_list)),
+    "theorem": lambda config: _probe_theorem(config.theorem_N, config.points),
+    "legendre": lambda config: _probe_legendre(),
+    "duality": lambda config: _probe_duality(10, config.seed),
+    "stability": lambda config: _probe_stability(10_000, config.seed),
+    "perturbation": lambda config: _probe_perturbation(),
+    "dss": lambda config: _probe_dss(config.seed),
+}
+
+PROBES = tuple(_PROBES)
 
 
-def cmd_verify(config: RunConfig) -> int:
-    requested = config.extra["probes"]
-    reports = []
-    for name in requested:
-        if name == "proposition":
-            reports.append(_probe_proposition(config.extra["n_values"]))
-        elif name == "conjecture":
-            reports.append(_probe_conjecture(max(config.extra["n_values"])))
-        elif name == "theorem":
-            reports.append(_probe_theorem(config.extra["theorem_n"], config.extra["points"]))
-        elif name == "legendre":
-            reports.append(_probe_legendre())
-        elif name == "duality":
-            reports.append(_probe_duality(10, config.seed))
-        elif name == "stability":
-            reports.append(_probe_stability(10_000, config.seed))
-        elif name == "perturbation":
-            reports.append(_probe_perturbation())
-        elif name == "dss":
-            reports.append(_probe_dss(config.seed))
-        else:
-            raise UsageError(f"unknown probe '{name}' (choose from {PROBES})")
+def cmd_verify(config: argparse.Namespace) -> int:
+    unknown = [name for name in config.probe if name not in _PROBES]
+    if unknown:
+        names = ", ".join(repr(name) for name in unknown)
+        raise UsageError(f"unknown probe {names} (choose from {PROBES})")
+    reports = [_PROBES[name](config) for name in config.probe]
     _write_json(config.output, reports)
     return 0 if all(r["pass"] for r in reports) else 1
 
 
-def _bench_cell(config: RunConfig, N: int, L: int, repeats: int):
-    cell_config = RunConfig(
-        subcommand="kernel",
-        init=config.init,
-        N=N,
-        L=L,
-        dt=config.dt if config.dt is not None else 1e-2,
-        seed=config.seed,
-        disc=config.disc,
-        re_mode=config.re_mode,
-        b_mode=config.b_mode,
-    )
-    spec, dt = build_spec(cell_config)
-    disc = discretize(spec.A_half, spec.B_half, dt, cell_config.disc)
+def _bench_cell(config: argparse.Namespace, N: int, L: int):
+    # the bench always times the plain Vandermonde kernel
+    cell = argparse.Namespace(**(vars(config) | {"N": N, "L": L, "softmax": False}))
+    spec, dt = build_spec(cell)
+    disc = discretize(spec.A_half, spec.B_half, dt, cell.disc)
 
     def run(fn):
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(config.repeats):
             start = time.perf_counter()
             with track_allocations() as tally:
                 kernel = fn(spec, disc, L)
@@ -540,7 +502,7 @@ def _bench_cell(config: RunConfig, N: int, L: int, repeats: int):
 
     k_str, t_str, alloc_str = run(vandermonde_kernel)
     k_one, t_one, alloc_one = run(one_chunk)
-    meta = _kernel_meta(cell_config, k_str)
+    meta = _kernel_meta(cell, k_str)
     csv_str = _csv_text(meta, ["l", "value"], ((l, float(v)) for l, v in enumerate(k_str.values)))
     csv_one = _csv_text(meta, ["l", "value"], ((l, float(v)) for l, v in enumerate(k_one.values)))
     return {
@@ -554,11 +516,10 @@ def _bench_cell(config: RunConfig, N: int, L: int, repeats: int):
     }
 
 
-def cmd_bench(config: RunConfig) -> int:
-    cells = []
-    for N in config.extra["n_grid"]:
-        for L in config.extra["l_grid"]:
-            cells.append(_bench_cell(config, N, L, config.extra["repeats"]))
+def cmd_bench(config: argparse.Namespace) -> int:
+    if config.repeats < 1:
+        raise UsageError(f"--repeats must be at least 1, got {config.repeats}")
+    cells = [_bench_cell(config, N, L) for N in config.N_grid for L in config.L_grid]
     log_nl = np.log([c["N"] * c["L"] for c in cells])
     log_alloc = np.log([c["alloc_streaming"] for c in cells])
     centered = log_nl - log_nl.mean()
@@ -568,9 +529,9 @@ def cmd_bench(config: RunConfig) -> int:
     report = {
         "probe": "bench-vandermonde",
         "params": {
-            "N_grid": list(config.extra["n_grid"]),
-            "L_grid": list(config.extra["l_grid"]),
-            "repeats": config.extra["repeats"],
+            "N_grid": config.N_grid,
+            "L_grid": config.L_grid,
+            "repeats": config.repeats,
             "init": config.init,
         },
         "metrics": {"cells": cells, "alloc_fit_exponent": exponent},
@@ -580,8 +541,19 @@ def cmd_bench(config: RunConfig) -> int:
     return 0 if report["pass"] else 1
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def _comma_list(item):
+    """argparse type: a non-empty comma-separated list, each part parsed by item."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [item(part) for part in text.split(",") if part]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {item.__name__} list {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a non-empty comma-separated list, got {text!r}")
+        return values
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -630,77 +602,47 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification probes, emit JSON")
     add_common(p_verify, with_kernel_flags=False)
-    p_verify.add_argument("--probe", default=",".join(PROBES), help="comma-separated probe names")
-    p_verify.add_argument("--N-list", default="2,16,64,256", help="state sizes for spectrum probes")
-    p_verify.add_argument("--theorem-N", default="16,64,256", help="state sizes for the convergence probe")
+    p_verify.add_argument("--probe", type=_comma_list(str), default=",".join(PROBES),
+                          help="comma-separated probe names")
+    p_verify.add_argument("--N-list", type=_comma_list(int), default="2,16,64,256",
+                          help="state sizes for spectrum probes")
+    p_verify.add_argument("--theorem-N", type=_comma_list(int), default="16,64,256",
+                          help="state sizes for the convergence probe")
     p_verify.add_argument("--points", type=int, default=256)
 
     p_bench = sub.add_parser("bench", help="benchmark kernel variants, emit JSON")
     add_common(p_bench)
-    # kernel-product timing should not be dominated by spectrum construction
-    p_bench.set_defaults(init="lin")
-    p_bench.add_argument("--N-grid", default="64,256,1024")
-    p_bench.add_argument("--L-grid", default="1024,16384")
+    # kernel-product timing should not be dominated by spectrum construction,
+    # and kernel timings depend on dt (subnormal tails), so dt defaults to a
+    # fixed step rather than a seeded draw
+    p_bench.set_defaults(init="lin", dt=1e-2)
+    p_bench.add_argument("--N-grid", type=_comma_list(int), default="64,256,1024")
+    p_bench.add_argument("--L-grid", type=_comma_list(int), default="1024,16384")
     p_bench.add_argument("--repeats", type=int, default=3)
 
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    if seed is None:
+def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Complete the parsed arguments where argparse cannot: the seed falls back
+    to SSM_SEED, and kernel flags left unset come from the preset (s4d when
+    none is given).  Softmax without ZOH is a usage error."""
+    if args.seed is None:
         env = os.environ.get("SSM_SEED")
         try:
-            seed = int(env) if env else 0
+            args.seed = int(env) if env else 0
         except ValueError as exc:
             raise UsageError(f"SSM_SEED must be an integer, got {env!r}") from exc
-
-    config = RunConfig(subcommand=args.subcommand, seed=seed, output=args.output)
-    if hasattr(args, "init"):
-        preset = PRESETS.get(args.preset, {}) if args.preset else {}
-        for key in ("disc", "re_mode", "b_mode", "softmax"):
-            flag = getattr(args, key)
-            config_value = flag if flag is not None else preset.get(key, _DEFAULTS[key])
-            setattr(config, key, config_value)
-        config.init = args.init
-        config.N = args.N
-        config.dt = args.dt
-        config.dt_min = args.dt_min
-        config.dt_max = args.dt_max
-        if config.softmax and config.disc != "zoh":
+    if hasattr(args, "preset"):
+        for key, value in PRESETS[args.preset or "s4d"].items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+        if args.softmax and args.disc != "zoh":
             raise UsageError(
                 "softmax normalization requires --disc zoh (the DSS parameterization "
                 "pairs softmax with zero-order hold); bilinear is incompatible"
             )
-    if hasattr(args, "L"):
-        config.L = args.L
-    if hasattr(args, "fmt"):
-        config.fmt = args.fmt
-    if args.subcommand == "basis":
-        config.extra = {
-            "dense": args.dense,
-            "t_max": args.t_max,
-            "points": args.points,
-            "rows": args.rows,
-        }
-    elif args.subcommand == "spectrum":
-        config.extra = {"all": args.all}
-    elif args.subcommand == "conv":
-        config.extra = {"input": args.input, "mode": args.mode}
-    elif args.subcommand == "verify":
-        config.extra = {
-            "probes": [p for p in args.probe.split(",") if p],
-            "n_values": _int_list(args.N_list),
-            "theorem_n": _int_list(args.theorem_N),
-            "points": args.points,
-        }
-    elif args.subcommand == "bench":
-        config.extra = {
-            "n_grid": _int_list(args.N_grid),
-            "l_grid": _int_list(args.L_grid),
-            "repeats": args.repeats,
-        }
-    return config
+    return args
 
 
 _COMMANDS = {

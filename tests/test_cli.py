@@ -25,10 +25,11 @@ class TestKernelCommand:
         out = tmp_path / "k.csv"
         assert main(["kernel", "--init", "lin", "--N", "32", "--L", "128",
                      "--dt", "0.005", "--seed", "1", "-o", str(out)]) == 0
-        from dssm.cli import RunConfig, build_kernel
+        from dssm.cli import _build_parser, _resolve_config, build_kernel
 
-        config = RunConfig(subcommand="kernel", init="lin", N=32, L=128, dt=0.005, seed=1)
-        kernel = build_kernel(config)
+        args = _build_parser().parse_args(["kernel", "--init", "lin", "--N", "32", "--L", "128",
+                                           "--dt", "0.005", "--seed", "1"])
+        kernel = build_kernel(_resolve_config(args))
         parsed = read_signal_csv(str(out))
         np.testing.assert_array_equal(parsed, kernel.values)
 
@@ -87,6 +88,7 @@ class TestKernelCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+        assert str(path) in err and ".tmp" not in err
         assert list(tmp_path.rglob("*.tmp")) == []
 
     @pytest.mark.parametrize(
@@ -194,6 +196,13 @@ class TestBasisCommand:
         data_rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
         assert len(data_rows) == 2
 
+    def test_negative_rows_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "basis.csv"
+        code, _, err = run(["basis", "--init", "lin", "--N", "8", "--points", "2", "--rows", "-3",
+                            "-o", str(out)], capsys)
+        assert code == 2
+        assert "--rows" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags",
@@ -361,6 +370,17 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown probe" in err
 
+    def test_probe_names_checked_before_any_probe_runs(self, capsys, monkeypatch):
+        from dssm import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "_probe_perturbation", lambda: calls.append("ran"))
+        code, out, err = run(["verify", "--probe", "perturbation,nonsense"], capsys)
+        assert code == 2
+        assert "'nonsense'" in err
+        assert out == ""
+        assert calls == []
+
     def test_proposition_probe(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["verify", "--probe", "proposition", "--N-list", "2,16,64", "-o", str(out)])
@@ -383,6 +403,14 @@ class TestBenchCommand:
         assert len(cells) == 4
         assert all(c["identical_csv"] for c in cells)
 
+    def test_zero_repeats_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        code, _, err = run(["bench", "--N-grid", "8", "--L-grid", "16", "--repeats", "0",
+                            "-o", str(out)], capsys)
+        assert code == 2
+        assert "--repeats" in err
+        assert not out.exists()
+
 
 class TestArgparseBehavior:
     def test_missing_subcommand_exits_two(self):
@@ -394,3 +422,20 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as excinfo:
             main(["kernel", "--init", "fourier"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--probe", "proposition", "--N-list", ""],
+            ["bench", "--N-grid", "", "--L-grid", "16"],
+            ["verify", "--probe", "conjecture", "--N-list", ""],
+            ["verify", "--probe", "theorem", "--theorem-N", "16,x"],
+        ],
+        ids=["empty-N-list", "empty-N-grid", "empty-N-list-conjecture", "non-integer"],
+    )
+    def test_empty_or_non_integer_list_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        _, err = capsys.readouterr()
+        assert "list" in err
