@@ -91,6 +91,13 @@ def _csv_text(meta: dict, header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _series_csv_text(meta: dict, values: np.ndarray) -> str:
+    """The 'l,value' table `_csv_text` writes for a 1-D series, formatted in
+    one pass ('%.17g' is `_fmt`'s format)."""
+    head = _csv_text(meta, ["l", "value"], ())
+    return head + "".join(["%d,%.17g\n" % row for row in enumerate(values.tolist())])
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -218,10 +225,12 @@ def _kernel_meta(config: argparse.Namespace, kernel: Kernel) -> dict:
 
 
 def cmd_kernel(config: argparse.Namespace) -> int:
-    kernel = build_kernel(config)
+    # an accepted but extreme flag (--dt 1e308) may overflow on the way; the
+    # _require_finite check on the result reports it, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = build_kernel(config)
     _require_finite(kernel.values, "kernel")
-    rows = ((l, float(v)) for l, v in enumerate(kernel.values))
-    _write_text(config.output, _csv_text(_kernel_meta(config, kernel), ["l", "value"], rows))
+    _write_text(config.output, _series_csv_text(_kernel_meta(config, kernel), kernel.values))
     return 0
 
 
@@ -232,7 +241,8 @@ def cmd_basis(config: argparse.Namespace) -> int:
     dense = config.dense
     if dense is None:
         spec, _ = build_spec(config)
-        table = sample_basis(spec, t)
+        with np.errstate(over="ignore", invalid="ignore"):  # see cmd_kernel
+            table = sample_basis(spec, t)
         name = config.init
     else:
         N = config.N
@@ -290,18 +300,19 @@ def cmd_conv(config: argparse.Namespace) -> int:
     samples = read_signal_csv(config.input)
     config.L = len(samples)
     spec, dt = build_spec(config)
-    disc = discretize(spec.A_half, spec.B_half, dt, config.disc)
     signal = Signal(samples=samples)
-    if config.mode == "fft":
-        if config.softmax:
-            kernel = dss_softmax_kernel(spec, disc, config.L)
+    with np.errstate(over="ignore", invalid="ignore"):  # see cmd_kernel
+        disc = discretize(spec.A_half, spec.B_half, dt, config.disc)
+        if config.mode == "fft":
+            if config.softmax:
+                kernel = dss_softmax_kernel(spec, disc, config.L)
+            else:
+                kernel = vandermonde_kernel(spec, disc, config.L)
+            out = fft_causal_conv(signal, kernel)
         else:
-            kernel = vandermonde_kernel(spec, disc, config.L)
-        out = fft_causal_conv(signal, kernel)
-    else:
-        if config.softmax:
-            raise UsageError("softmax normalization has no recurrent form; use --mode fft")
-        out, _ = recurrent_scan(disc, spec.C_half, signal, conj_pairs=spec.conj_pairs)
+            if config.softmax:
+                raise UsageError("softmax normalization has no recurrent form; use --mode fft")
+            out, _ = recurrent_scan(disc, spec.C_half, signal, conj_pairs=spec.conj_pairs)
     _require_finite(out.samples, "conv output")
     meta = {
         "init": config.init,
@@ -312,8 +323,7 @@ def cmd_conv(config: argparse.Namespace) -> int:
         "seed": config.seed,
         "mode": config.mode,
     }
-    rows = ((l, float(v)) for l, v in enumerate(np.atleast_1d(out.samples)))
-    _write_text(config.output, _csv_text(meta, ["l", "value"], rows))
+    _write_text(config.output, _series_csv_text(meta, np.atleast_1d(out.samples)))
     return 0
 
 
@@ -477,6 +487,9 @@ def cmd_verify(config: argparse.Namespace) -> int:
     if unknown:
         names = ", ".join(repr(name) for name in unknown)
         raise UsageError(f"unknown probe {names} (choose from {PROBES})")
+    if len(config.theorem_N) < 2:
+        # the theorem probe passes on a strict decrease, which one size cannot show
+        raise UsageError(f"--theorem-N needs at least two state sizes, got {config.theorem_N}")
     reports = [_PROBES[name](config) for name in config.probe]
     _write_json(config.output, reports)
     return 0 if all(r["pass"] for r in reports) else 1
@@ -503,8 +516,8 @@ def _bench_cell(config: argparse.Namespace, N: int, L: int):
     k_str, t_str, alloc_str = run(vandermonde_kernel)
     k_one, t_one, alloc_one = run(one_chunk)
     meta = _kernel_meta(cell, k_str)
-    csv_str = _csv_text(meta, ["l", "value"], ((l, float(v)) for l, v in enumerate(k_str.values)))
-    csv_one = _csv_text(meta, ["l", "value"], ((l, float(v)) for l, v in enumerate(k_one.values)))
+    csv_str = _series_csv_text(meta, k_str.values)
+    csv_one = _series_csv_text(meta, k_one.values)
     return {
         "N": N,
         "L": L,

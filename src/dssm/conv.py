@@ -2,10 +2,12 @@
 
 The recurrence doubles as the ground-truth oracle for the Vandermonde kernel
 and as the autoregressive mode (it returns its final state so scans can be
-chunked).  The FFT is a local iterative radix-2 transform with a Bluestein
-fallback for arbitrary lengths.
+chunked).  The FFT is a local power-of-two four-step transform (matmuls with
+a cached 32-point DFT matrix and twiddle tables) with a Bluestein fallback for
+arbitrary lengths.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,47 +52,48 @@ class RecurrentState:
     x: np.ndarray
 
 
-def _bit_reverse_permutation(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev = (rev << 1) | ((idx >> b) & 1)
-    return rev
+_RADIX = 32  # four-step split; a transform of at most this length is one matmul
 
 
-def _fft_pow2(x: np.ndarray, sign: float) -> np.ndarray:
-    n = len(x)
-    a = np.array(x, dtype=complex)
-    if n == 1:
-        return a
-    a = a[_bit_reverse_permutation(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-        blocks = a.reshape(-1, size)
-        odd = blocks[:, half:] * twiddle
-        even = blocks[:, :half].copy()
-        blocks[:, :half] = even + odd
-        blocks[:, half:] = even - odd
-        size *= 2
-    return a
+@functools.cache
+def _dft_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (W, T): the DFT matrix of n1 = min(n, 32) points and the
+    (n1, n/n1) twiddles exp(-2πi k j / n), with angles from k·j mod n."""
+    n1 = min(n, _RADIX)
+    k = np.arange(n1)
+    W = np.exp(-2j * np.pi * ((k[:, None] * k) % n1) / n1)
+    T = np.exp(-2j * np.pi * ((k[:, None] * np.arange(n // n1)) % n) / n)
+    W.flags.writeable = T.flags.writeable = False
+    return W, T
 
 
-def _bluestein(x: np.ndarray, sign: float) -> np.ndarray:
+def _fft_pow2(x: np.ndarray) -> np.ndarray:
+    """DFT along the last axis of power-of-two length n (Bailey's four-step):
+    view x as (…, 32, n/32), transform the 32-axis, twiddle, recurse on the
+    last axis, and transpose so output k1 + 32·k2 lands in place."""
+    n = x.shape[-1]
+    W, T = _dft_tables(n)
+    if n <= _RADIX:
+        return x @ W
+    y = W @ x.reshape(*x.shape[:-1], _RADIX, n // _RADIX)
+    y *= T
+    return _fft_pow2(y).swapaxes(-1, -2).reshape(x.shape)
+
+
+def _bluestein(x: np.ndarray) -> np.ndarray:
     n = len(x)
     k = np.arange(n, dtype=np.int64)
     # k^2 mod 2n keeps the chirp angles small and exactly representable.
     half_squares = (k * k) % (2 * n)
-    chirp = np.exp(sign * 1j * np.pi * half_squares / n)
+    chirp = np.exp(-1j * np.pi * half_squares / n)
     m = 1 << (2 * n - 1).bit_length()
     a = np.zeros(m, dtype=complex)
-    a[:n] = np.asarray(x, dtype=complex) * chirp
+    a[:n] = x * chirp
     b = np.zeros(m, dtype=complex)
     b[:n] = np.conj(chirp)
     b[m - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
-    conv = _fft_pow2(_fft_pow2(a, -1.0) * _fft_pow2(b, -1.0), 1.0) / m
+    # inverse transform of the product by conjugation, as in radix_ifft
+    conv = np.conj(_fft_pow2(np.conj(_fft_pow2(a) * _fft_pow2(b)))) / m
     return conv[:n] * chirp
 
 
@@ -101,8 +104,8 @@ def radix_fft(x: np.ndarray) -> np.ndarray:
         raise ValueError("input must be a non-empty 1-D array")
     n = len(x)
     if n & (n - 1) == 0:
-        return _fft_pow2(x, -1.0)
-    return _bluestein(x, -1.0)
+        return _fft_pow2(x)
+    return _bluestein(x)
 
 
 def radix_ifft(x: np.ndarray) -> np.ndarray:
@@ -124,14 +127,14 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     if u.length != L:
         raise ValueError(f"signal length {u.length} != kernel length {L}")
     m = 1 << (2 * L - 1).bit_length() if L > 1 else 2
-    kernel_padded = np.zeros(m, dtype=complex)
+    kernel_padded = np.zeros(m)
     kernel_padded[:L] = K.values
     K_f = radix_fft(kernel_padded)
 
     rows = np.atleast_2d(u.samples)
     out = np.empty_like(rows)
     for i, row in enumerate(rows):
-        padded = np.zeros(m, dtype=complex)
+        padded = np.zeros(m)
         padded[:L] = row
         y = radix_ifft(radix_fft(padded) * K_f)[:L]
         bound = 1e-9 * max(float(np.abs(y.real).max()), np.finfo(float).tiny)

@@ -219,6 +219,25 @@ class TestBasisCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--init", "lin", "--N", "8", "--L", "4", "--dt", "1e308", "--disc", "zoh"],
+        ["basis", "--init", "lin", "--re-mode", "identity", "--N", "8", "--t-max", "1e308",
+         "--points", "3"],
+    ],
+    ids=["kernel", "basis"],
+)
+def test_overflowing_input_reports_only_the_finiteness_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "non-finite" in err
+    assert err.count("\n") == 1
+
+
 class TestSpectrumCommand:
     def test_single_family_csv(self, capsys):
         code, out, _ = run(["spectrum", "--init", "inv", "--N", "8"], capsys)
@@ -357,6 +376,14 @@ class TestVerifyCommand:
         assert all(r["pass"] is True for r in report)
         assert all(set(r) == {"probe", "params", "metrics", "pass"} for r in report)
 
+    def test_single_theorem_size_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code, _, err = run(["verify", "--probe", "theorem", "--theorem-N", "16",
+                            "--points", "64", "-o", str(out)], capsys)
+        assert code == 2
+        assert "--theorem-N" in err
+        assert not out.exists()
+
     def test_failing_probe_exits_one(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["verify", "--probe", "theorem", "--theorem-N", "64,64",
@@ -410,6 +437,17 @@ class TestBenchCommand:
         assert code == 2
         assert "--repeats" in err
         assert not out.exists()
+
+
+class TestSeriesCsv:
+    def test_fast_path_matches_fmt_path(self):
+        from dssm.cli import _csv_text, _series_csv_text
+
+        values = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -2.5e-310, 1e300, -1e300,
+                           1e-300, -1e-300, 0.1, 1 / 3, -7.0, 2.0**53 + 2])
+        meta = {"init": "lin", "L": len(values)}
+        rows = ((l, float(v)) for l, v in enumerate(values))
+        assert _series_csv_text(meta, values) == _csv_text(meta, ["l", "value"], rows)
 
 
 class TestArgparseBehavior:

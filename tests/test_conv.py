@@ -47,7 +47,8 @@ class TestRadixFft:
         back = radix_ifft(radix_fft(x))
         assert np.abs(back - x).max() <= 1e-12 * max(np.abs(x).max(), 1.0)
 
-    @pytest.mark.parametrize("n", [3, 12, 31, 257])
+    # 1, 2 and 32: one matmul; 64 and 1024: one four-step level; others: Bluestein
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 31, 32, 33, 64, 257, 1024])
     def test_against_direct_dft(self, n):
         rng = np.random.default_rng(n + 1)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -84,12 +85,22 @@ class TestFftCausalConv:
 
     def test_multichannel(self):
         rng = np.random.default_rng(22)
-        u = rng.standard_normal((3, 128))
-        k = rng.standard_normal(128)
-        out = fft_causal_conv(Signal(u), as_kernel(k))
-        assert out.samples.shape == (3, 128)
-        single = fft_causal_conv(Signal(u[1]), as_kernel(k))
-        np.testing.assert_array_equal(out.samples[1], single.samples)
+        for L in (128, 4096):
+            u = rng.standard_normal((3, L))
+            k = rng.standard_normal(L)
+            out = fft_causal_conv(Signal(u), as_kernel(k))
+            assert out.samples.shape == (3, L)
+            single = fft_causal_conv(Signal(u[1]), as_kernel(k))
+            np.testing.assert_array_equal(out.samples[1], single.samples)
+
+    def test_against_numpy_rfft_oracle(self):
+        # L = 4096 pads to 8192 = 32 * 32 * 8 points: two four-step levels
+        rng = np.random.default_rng(29)
+        u = rng.standard_normal((4, 4096))
+        k = rng.standard_normal(4096)
+        out = fft_causal_conv(Signal(u), as_kernel(k)).samples
+        reference = np.fft.irfft(np.fft.rfft(u, 8192) * np.fft.rfft(k, 8192), 8192)[:, :4096]
+        assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
