@@ -490,6 +490,12 @@ def cmd_verify(config: argparse.Namespace) -> int:
     if len(config.theorem_N) < 2:
         # the theorem probe passes on a strict decrease, which one size cannot show
         raise UsageError(f"--theorem-N needs at least two state sizes, got {config.theorem_N}")
+    if "conjecture" in config.probe and max(config.N_list) < 7:
+        # below N = 7 the probe's middle band is empty or holds index 0, so
+        # its band ratio is NaN or infinite
+        raise UsageError(
+            f"--N-list needs a state size of at least 7 for the conjecture probe, got {config.N_list}"
+        )
     reports = [_PROBES[name](config) for name in config.probe]
     _write_json(config.output, reports)
     return 0 if all(r["pass"] for r in reports) else 1
@@ -498,8 +504,9 @@ def cmd_verify(config: argparse.Namespace) -> int:
 def _bench_cell(config: argparse.Namespace, N: int, L: int):
     # the bench always times the plain Vandermonde kernel
     cell = argparse.Namespace(**(vars(config) | {"N": N, "L": L, "softmax": False}))
-    spec, dt = build_spec(cell)
-    disc = discretize(spec.A_half, spec.B_half, dt, cell.disc)
+    with np.errstate(over="ignore", invalid="ignore"):  # see cmd_kernel
+        spec, dt = build_spec(cell)
+        disc = discretize(spec.A_half, spec.B_half, dt, cell.disc)
 
     def run(fn):
         best = float("inf")
@@ -514,6 +521,7 @@ def _bench_cell(config: argparse.Namespace, N: int, L: int):
         return _kernel(spec, disc, L, _weights(spec, disc), chunk=L)
 
     k_str, t_str, alloc_str = run(vandermonde_kernel)
+    _require_finite(k_str.values, "kernel")
     k_one, t_one, alloc_one = run(one_chunk)
     meta = _kernel_meta(cell, k_str)
     csv_str = _series_csv_text(meta, k_str.values)

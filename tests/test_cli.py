@@ -225,8 +225,10 @@ class TestBasisCommand:
         ["kernel", "--init", "lin", "--N", "8", "--L", "4", "--dt", "1e308", "--disc", "zoh"],
         ["basis", "--init", "lin", "--re-mode", "identity", "--N", "8", "--t-max", "1e308",
          "--points", "3"],
+        ["bench", "--N-grid", "8", "--L-grid", "16", "--repeats", "1", "--dt", "1e308",
+         "--disc", "zoh"],
     ],
-    ids=["kernel", "basis"],
+    ids=["kernel", "basis", "bench"],
 )
 def test_overflowing_input_reports_only_the_finiteness_error(capsys, argv):
     with warnings.catch_warnings():
@@ -382,6 +384,19 @@ class TestVerifyCommand:
                             "--points", "64", "-o", str(out)], capsys)
         assert code == 2
         assert "--theorem-N" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("probes", ["conjecture", "stability,conjecture"])
+    @pytest.mark.parametrize("n_list", ["6", "1,2,5"])
+    def test_conjecture_below_seven_states_is_usage_error(self, tmp_path, capsys, probes, n_list):
+        # the probe's band ratio is NaN or infinite there, which is not valid JSON
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["verify", "--probe", probes, "--N-list", n_list,
+                                "-o", str(out)], capsys)
+        assert code == 2
+        assert "--N-list" in err
         assert not out.exists()
 
     def test_failing_probe_exits_one(self, tmp_path):

@@ -74,6 +74,10 @@ class TestMakeHippoNormal:
             make_hippo_normal(0)
 
 
+_RE, _IM = np.random.default_rng(8).standard_normal((2, 8, 8))
+H8 = (_RE + _RE.T) + 1j * (_IM - _IM.T)  # random 8x8 Hermitian
+
+
 class TestHermitianEigendecompose:
     def test_identity(self):
         spec, V = hermitian_eigendecompose(np.eye(3))
@@ -143,6 +147,47 @@ class TestHermitianEigendecompose:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             hermitian_eigendecompose(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "H",
+        [
+            np.kron(np.eye(4), H8),
+            np.zeros((5, 5)),
+            np.diag([3.0, 1.0, 1.0, 2.0, 2.0, 2.0]),
+            np.kron(H8, np.ones((2, 2))),
+            np.array([[-2.5]]),
+            1e-300 * H8,
+            1e300 * H8,
+        ],
+        ids=["4-fold-clusters", "zero", "repeated-diagonal", "rank-deficient", "1x1",
+             "tiny", "huge"],
+    )
+    def test_edge_inputs(self, H):
+        n = H.shape[0]
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec, V = hermitian_eigendecompose(H)
+        assert np.abs(V.conj().T @ V - np.eye(n)).max() <= 1e-10
+        residual = np.abs(H @ V - V * spec.eigenvalues).max()
+        assert residual <= 1e-12 * np.abs(H).max()
+
+    def test_subnormal_input(self):
+        # the power-of-two scaling must stay finite when max|H| is subnormal;
+        # the eigenvalues are subnormal too, so they round (no errstate here)
+        H = 1e-310 * H8
+        spec, V = hermitian_eigendecompose(H)
+        assert np.abs(V.conj().T @ V - np.eye(8)).max() <= 1e-10
+        reference = np.sort(np.linalg.eigvalsh(H8))[::-1]
+        np.testing.assert_allclose(spec.eigenvalues.real / 1e-310, reference, atol=1e-9)
+
+    @pytest.mark.parametrize("N", [9, 64, 255])
+    def test_same_engine_as_hippo_d_spectrum(self, N):
+        # both solvers share one reduction and bisection, so the eigenvalues
+        # agree bit for bit
+        S = make_hippo_normal(N).A + 0.5 * np.eye(N)
+        spec, _ = hermitian_eigendecompose(1j * S)
+        expected = np.sort(-hippo_d_spectrum(N).eigenvalues.imag)[::-1]
+        np.testing.assert_array_equal(spec.eigenvalues.real, expected)
 
 
 class TestHippoDSpectrum:
