@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .kernel import (
     _weights,
     dss_softmax_kernel,
     sample_basis,
-    track_allocations,
     vandermonde_kernel,
 )
 from . import oracle
@@ -83,39 +83,19 @@ def _write_text(path: str | None, text: str) -> None:
         raise
 
 
-def _csv_text(meta: dict, header: list[str], rows) -> str:
-    lines = [f"# {key}: {value}" for key, value in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _series_csv_text(meta: dict, values: np.ndarray) -> str:
-    """The 'l,value' table `_csv_text` writes for a 1-D series, formatted in
-    one pass ('%.17g' is `_fmt`'s format)."""
-    head = _csv_text(meta, ["l", "value"], ())
-    return head + "".join(["%d,%.17g\n" % row for row in enumerate(values.tolist())])
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _csv_text(meta: dict, header: list[str], row_format: str, rows) -> str:
+    """Metadata comments, the header, then each row tuple formatted by
+    `row_format` (its '%.17g', like `_fmt`, round-trips a double)."""
+    lines = [f"# {key}: {value}\n" for key, value in meta.items()]
+    lines.append(",".join(header) + "\n")
+    lines += [row_format % row for row in rows]
+    return "".join(lines)
 
 
 def _write_json(path: str | None, payload) -> None:
-    _write_text(path, json.dumps(_jsonable(payload), indent=2) + "\n")
+    # numpy scalars and arrays become Python numbers and lists
+    text = json.dumps(payload, indent=2, default=lambda obj: obj.tolist())
+    _write_text(path, text + "\n")
 
 
 def _row_error(problem: str, path: str, lineno: int, line: str) -> UsageError:
@@ -230,7 +210,9 @@ def cmd_kernel(config: argparse.Namespace) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         kernel = build_kernel(config)
     _require_finite(kernel.values, "kernel")
-    _write_text(config.output, _series_csv_text(_kernel_meta(config, kernel), kernel.values))
+    text = _csv_text(_kernel_meta(config, kernel), ["l", "value"], "%d,%.17g\n",
+                     enumerate(kernel.values.tolist()))
+    _write_text(config.output, text)
     return 0
 
 
@@ -266,7 +248,8 @@ def cmd_basis(config: argparse.Namespace) -> int:
         for n in range(values.shape[0])
         for j in range(len(t))
     )
-    _write_text(config.output, _csv_text(meta, ["n", "t", "re", "im"], rows))
+    text = _csv_text(meta, ["n", "t", "re", "im"], "%d,%.17g,%.17g,%.17g\n", rows)
+    _write_text(config.output, text)
     return 0
 
 
@@ -278,10 +261,7 @@ def cmd_spectrum(config: argparse.Namespace) -> int:
     specs = {name: make_init(name, config.N, seed=config.seed) for name in families}
     if config.fmt == "json":
         payload = {
-            name: {
-                "re": list(spec.A_half.real),
-                "im": list(spec.A_half.imag),
-            }
+            name: {"re": spec.A_half.real, "im": spec.A_half.imag}
             for name, spec in specs.items()
         }
         _write_json(config.output, payload)
@@ -292,7 +272,8 @@ def cmd_spectrum(config: argparse.Namespace) -> int:
         for name, spec in specs.items()
         for n in range(spec.n_half)
     )
-    _write_text(config.output, _csv_text(meta, ["init", "n", "re", "im"], rows))
+    text = _csv_text(meta, ["init", "n", "re", "im"], "%s,%d,%.17g,%.17g\n", rows)
+    _write_text(config.output, text)
     return 0
 
 
@@ -323,7 +304,8 @@ def cmd_conv(config: argparse.Namespace) -> int:
         "seed": config.seed,
         "mode": config.mode,
     }
-    _write_text(config.output, _series_csv_text(meta, np.atleast_1d(out.samples)))
+    rows = enumerate(np.atleast_1d(out.samples).tolist())
+    _write_text(config.output, _csv_text(meta, ["l", "value"], "%d,%.17g\n", rows))
     return 0
 
 
@@ -490,15 +472,32 @@ def cmd_verify(config: argparse.Namespace) -> int:
     if len(config.theorem_N) < 2:
         # the theorem probe passes on a strict decrease, which one size cannot show
         raise UsageError(f"--theorem-N needs at least two state sizes, got {config.theorem_N}")
-    if "conjecture" in config.probe and max(config.N_list) < 7:
-        # below N = 7 the probe's middle band is empty or holds index 0, so
+    if "conjecture" in config.probe and max(config.N_list) < 8:
+        # below N = 8 the probe's middle band is empty or holds index 0, so
         # its band ratio is NaN or infinite
         raise UsageError(
-            f"--N-list needs a state size of at least 7 for the conjecture probe, got {config.N_list}"
+            f"--N-list needs a state size of at least 8 for the conjecture probe, got {config.N_list}"
         )
     reports = [_PROBES[name](config) for name in config.probe]
     _write_json(config.output, reports)
     return 0 if all(r["pass"] for r in reports) else 1
+
+
+def _auxiliary_peak_bytes(compute) -> int:
+    """Peak bytes traced by tracemalloc while `compute()` runs, above those
+    live before the call and beyond the array it returns."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = compute()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak - baseline - result.nbytes
 
 
 def _bench_cell(config: argparse.Namespace, N: int, L: int):
@@ -512,20 +511,20 @@ def _bench_cell(config: argparse.Namespace, N: int, L: int):
         best = float("inf")
         for _ in range(config.repeats):
             start = time.perf_counter()
-            with track_allocations() as tally:
-                kernel = fn(spec, disc, L)
+            kernel = fn(spec, disc, L)
             best = min(best, time.perf_counter() - start)
-        return kernel, best, tally.scalars
+        return kernel, best, _auxiliary_peak_bytes(lambda: fn(spec, disc, L).values)
 
     def one_chunk(spec, disc, L):
         return _kernel(spec, disc, L, _weights(spec, disc), chunk=L)
 
+    def csv(kernel):
+        rows = enumerate(kernel.values.tolist())
+        return _csv_text(_kernel_meta(cell, kernel), ["l", "value"], "%d,%.17g\n", rows)
+
     k_str, t_str, alloc_str = run(vandermonde_kernel)
     _require_finite(k_str.values, "kernel")
     k_one, t_one, alloc_one = run(one_chunk)
-    meta = _kernel_meta(cell, k_str)
-    csv_str = _series_csv_text(meta, k_str.values)
-    csv_one = _series_csv_text(meta, k_one.values)
     return {
         "N": N,
         "L": L,
@@ -533,19 +532,24 @@ def _bench_cell(config: argparse.Namespace, N: int, L: int):
         "time_one_chunk": t_one,
         "alloc_streaming": alloc_str,
         "alloc_one_chunk": alloc_one,
-        "identical_csv": csv_str.encode() == csv_one.encode(),
+        "identical_csv": csv(k_str) == csv(k_one),
     }
 
 
 def cmd_bench(config: argparse.Namespace) -> int:
     if config.repeats < 1:
         raise UsageError(f"--repeats must be at least 1, got {config.repeats}")
+    if len({N * L for N in config.N_grid for L in config.L_grid}) < 2:
+        # the memory-growth fit needs two problem sizes N*L to have a slope
+        raise UsageError(
+            f"--N-grid and --L-grid need at least two distinct products N*L, "
+            f"got {config.N_grid} x {config.L_grid}"
+        )
     cells = [_bench_cell(config, N, L) for N in config.N_grid for L in config.L_grid]
     log_nl = np.log([c["N"] * c["L"] for c in cells])
     log_alloc = np.log([c["alloc_streaming"] for c in cells])
     centered = log_nl - log_nl.mean()
-    denom = float((centered**2).sum())
-    exponent = float((centered * (log_alloc - log_alloc.mean())).sum() / denom) if denom else 0.0
+    exponent = float((centered * (log_alloc - log_alloc.mean())).sum() / (centered**2).sum())
     identical = all(c["identical_csv"] for c in cells)
     report = {
         "probe": "bench-vandermonde",

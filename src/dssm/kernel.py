@@ -4,10 +4,10 @@ The kernel is K_l = 2 Re( sum_n C_n B_bar_n A_bar_n^l ) over the
 half-spectrum (factor 1 instead of 2 for purely real specs).  One engine
 computes it for both the Vandermonde and the DSS softmax kernel: it streams
 over L in fixed-size chunks with O(N + chunk) auxiliary memory, and its
-output does not depend on the chunk schedule, bit for bit.
+output does not depend on the chunk schedule, bit for bit.  `dssm bench`
+measures that memory with tracemalloc (acceptance criterion 07).
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +22,6 @@ __all__ = [
     "KernelMeta",
     "Kernel",
     "BasisTable",
-    "AllocationTally",
-    "track_allocations",
     "vandermonde_kernel",
     "dss_softmax_kernel",
     "sample_basis",
@@ -66,33 +64,6 @@ class BasisTable:
     values: np.ndarray
 
 
-@dataclass
-class AllocationTally:
-    """Counter of auxiliary scalars allocated inside kernel computations."""
-
-    scalars: int = 0
-
-
-_tally: AllocationTally | None = None
-
-
-@contextmanager
-def track_allocations():
-    """Collect auxiliary-buffer allocation counts from kernel variants."""
-    global _tally
-    previous = _tally
-    _tally = tally = AllocationTally()
-    try:
-        yield tally
-    finally:
-        _tally = previous
-
-
-def _note_alloc(count: int) -> None:
-    if _tally is not None:
-        _tally.scalars += int(count)
-
-
 def _weights(spec: DiagonalSpec, disc: DiscreteParams) -> np.ndarray:
     if not disc.is_diagonal:
         raise ValueError("diagonal kernel needs a diagonal discretization")
@@ -132,7 +103,6 @@ def _kernel_values(
     powers = np.empty(size, dtype=complex)
     term = np.empty(size, dtype=complex)
     levels = np.empty((max(1, n_half.bit_length()), size), dtype=complex)
-    _note_alloc(n_half + (levels.shape[0] + 2) * size)
 
     out = np.empty(L, dtype=float)
     start = 0

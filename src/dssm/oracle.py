@@ -240,7 +240,10 @@ def conjecture_probe(N: int) -> ConjectureReport:
     the deficit ``-c_estimate``.
     """
     values = hippo_d_spectrum(N).eigenvalues
-    positive = np.sort(values.imag[values.imag > 0])[::-1]
+    # the conjugate-pair half, as init_legsd takes it (sorted by descending
+    # Im); for odd N a sign test would keep the zero mode, whose imaginary
+    # part comes out of bisection as a tiny positive or negative number
+    positive = values.imag[: N // 2]
     max_imag = float(values.imag.max())
     c_estimate = max_imag - N * N / np.pi
     n_idx = np.arange(len(positive), dtype=float)

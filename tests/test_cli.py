@@ -225,7 +225,7 @@ class TestBasisCommand:
         ["kernel", "--init", "lin", "--N", "8", "--L", "4", "--dt", "1e308", "--disc", "zoh"],
         ["basis", "--init", "lin", "--re-mode", "identity", "--N", "8", "--t-max", "1e308",
          "--points", "3"],
-        ["bench", "--N-grid", "8", "--L-grid", "16", "--repeats", "1", "--dt", "1e308",
+        ["bench", "--N-grid", "8", "--L-grid", "16,32", "--repeats", "1", "--dt", "1e308",
          "--disc", "zoh"],
     ],
     ids=["kernel", "basis", "bench"],
@@ -387,7 +387,7 @@ class TestVerifyCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("probes", ["conjecture", "stability,conjecture"])
-    @pytest.mark.parametrize("n_list", ["6", "1,2,5"])
+    @pytest.mark.parametrize("n_list", ["6", "1,2,5", "7"])
     def test_conjecture_below_seven_states_is_usage_error(self, tmp_path, capsys, probes, n_list):
         # the probe's band ratio is NaN or infinite there, which is not valid JSON
         out = tmp_path / "report.json"
@@ -453,16 +453,34 @@ class TestBenchCommand:
         assert "--repeats" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_grid, l_grid", [("64", "1024"), ("64,64", "1024,1024")])
+    def test_single_problem_size_is_usage_error(self, tmp_path, capsys, monkeypatch, n_grid, l_grid):
+        # one N*L product gives the memory-growth fit no slope to measure
+        from dssm import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "_bench_cell", lambda *args: calls.append(args))
+        out = tmp_path / "bench.json"
+        code, _, err = run(["bench", "--N-grid", n_grid, "--L-grid", l_grid, "--repeats", "1",
+                            "-o", str(out)], capsys)
+        assert code == 2
+        assert "--N-grid" in err and "--L-grid" in err
+        assert not out.exists()
+        assert calls == []
+
 
 class TestSeriesCsv:
     def test_fast_path_matches_fmt_path(self):
-        from dssm.cli import _csv_text, _series_csv_text
+        from dssm.cli import _csv_text
 
         values = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -2.5e-310, 1e300, -1e300,
                            1e-300, -1e-300, 0.1, 1 / 3, -7.0, 2.0**53 + 2])
         meta = {"init": "lin", "L": len(values)}
-        rows = ((l, float(v)) for l, v in enumerate(values))
-        assert _series_csv_text(meta, values) == _csv_text(meta, ["l", "value"], rows)
+        expected = "# init: lin\n# L: 15\nl,value\n" + "".join(
+            f"{l},{format(v, '.17g')}\n" for l, v in enumerate(values.tolist())
+        )
+        text = _csv_text(meta, ["l", "value"], "%d,%.17g\n", enumerate(values.tolist()))
+        assert text == expected
 
 
 class TestArgparseBehavior:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dssm.cli import _auxiliary_peak_bytes
 from dssm.conv import Signal, recurrent_scan
 from dssm.discretize import DiscreteParams, discretize, discretize_bilinear, discretize_zoh
 from dssm.hippo import DenseSpec, make_hippo_legs
@@ -11,7 +12,6 @@ from dssm.kernel import (
     _kernel_values,
     dss_softmax_kernel,
     sample_basis,
-    track_allocations,
     vandermonde_kernel,
 )
 from dssm.oracle import legendre_basis_table, random_stable_spec
@@ -164,18 +164,18 @@ class TestStreamingVariant:
         np.testing.assert_allclose(kernel.values, [expected], rtol=1e-15)
 
     def test_auxiliary_allocation_independent_of_length(self):
+        # measured peak bytes beyond the returned values; the 10 % margin
+        # covers the width-sized temporary of the final real-part scaling
         rng = np.random.default_rng(13)
         spec, dt = random_stable_spec(rng, n_half=32)
         disc = discretize(spec.A_half, spec.B_half, dt, "bilinear")
-        allocs = {}
-        for L in (1024, 65536):
-            with track_allocations() as tally:
-                vandermonde_kernel(spec, disc, L)
-            allocs[L] = tally.scalars
-        assert allocs[1024] == allocs[65536]
-        with track_allocations() as tally:
-            one_chunk_values(spec, disc, 65536)
-        assert allocs[65536] < tally.scalars / 10
+        peaks = {
+            L: _auxiliary_peak_bytes(lambda: vandermonde_kernel(spec, disc, L).values)
+            for L in (1024, 65536)
+        }
+        assert peaks[65536] <= 1.1 * peaks[1024]
+        one_chunk = _auxiliary_peak_bytes(lambda: one_chunk_values(spec, disc, 65536))
+        assert peaks[65536] < one_chunk / 10
 
 
 class TestChunkSchedule:

@@ -218,6 +218,13 @@ class TestConjectureProbe:
         report = conjecture_probe(256)
         assert report.band_ratio <= 4.0
 
+    @pytest.mark.parametrize("N", [9, 13, 255])
+    def test_odd_n_leaves_out_the_zero_mode(self, N):
+        # the zero mode's imaginary part comes out of bisection as a tiny
+        # number of either sign; it is not part of the positive half
+        report = conjecture_probe(N)
+        assert len(report.scaled_imag) == (N - 1) // 2
+
     def test_constant_trend_tightens_with_n(self):
         gap_64 = abs(conjecture_probe(64).c_estimate + np.pi / 6.0)
         gap_256 = abs(conjecture_probe(256).c_estimate + np.pi / 6.0)

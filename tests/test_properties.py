@@ -101,7 +101,7 @@ def test_left_half_plane_discretizes_inside_unit_disk(log_re, im, log_dt, rule):
 @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
 def test_csv_round_trip_is_lossless(values):
     rows = ((l, float(v)) for l, v in enumerate(values))
-    text = _csv_text({"L": len(values)}, ["l", "value"], rows)
+    text = _csv_text({"L": len(values)}, ["l", "value"], "%d,%.17g\n", rows)
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "u.csv")
         with open(path, "w", encoding="utf-8") as handle:

@@ -1,0 +1,115 @@
+"""Run a fixed corpus of `dssm` CLI commands and print one line per command.
+
+Usage:
+
+    python tools/cli_corpus.py SRC_DIR > corpus.txt
+
+Each command runs as `python -m dssm.cli ...` with PYTHONPATH=SRC_DIR, in a
+temporary directory that also holds the seeded input CSVs of the `conv`
+commands.  A line reads
+
+    <sha256 of stdout> <exit code> <sha256 of stderr> <argv>
+
+so two checkouts are compared by one `diff` of their listings.  `bench`
+reports carry timings and measured bytes, so for them the first hash is taken
+over the report with every number blanked out: keys, strings and booleans
+(`pass`, `identical_csv`) still have to match.  Nothing is written outside the
+temporary directory (bytecode caching is off).
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+INPUTS = {"u5000.csv": (5000, 11), "u4097.csv": (4097, 12)}  # name: (length, seed)
+
+
+def _corpus() -> list[tuple[dict, list[str]]]:
+    """(extra environment, argv) pairs."""
+    plain = {}
+    runs = []
+    for preset in ("s4d", "s4d-zoh", "dss"):
+        for N in (64, 256):
+            for L in (1, 7, 4096, 4097, 4098, 8193, 8194, 65536):
+                runs.append((plain, ["kernel", "--preset", preset, "--N", str(N), "--L", str(L),
+                                     "--dt", "0.01"]))
+    for L in (4097, 65536):
+        runs.append((plain, ["kernel", "--init", "lin", "--N", "256", "--L", str(L)]))
+    for name in INPUTS:
+        for mode in ("fft", "scan"):
+            for preset in ("s4d", "s4d-zoh"):
+                runs.append((plain, ["conv", "--input", name, "--mode", mode, "--preset", preset,
+                                     "--init", "lin", "--N", "64", "--dt", "0.01"]))
+    runs += [
+        (plain, ["conv", "--input", "u5000.csv", "--mode", "fft", "--preset", "dss",
+                 "--init", "inv"]),
+        (plain, ["spectrum", "--all", "--N", "64"]),
+        (plain, ["spectrum", "--all", "--N", "64", "--format", "json"]),
+        (plain, ["basis", "--init", "lin", "--N", "8"]),
+        (plain, ["basis", "--dense", "legs", "--N", "64", "--rows", "5"]),
+        (plain, ["basis", "--dense", "normal", "--N", "16", "--rows", "0", "--points", "33"]),
+        (plain, ["verify"]),
+        (plain, ["verify", "--probe", "theorem", "--theorem-N", "64,64", "--points", "64"]),
+        ({"SSM_SEED": "3"}, ["verify", "--probe", "duality,dss,stability"]),
+        (plain, ["bench", "--repeats", "1"]),
+        (plain, ["bench", "--N-grid", "16,64", "--L-grid", "256,1024", "--repeats", "1"]),
+        # exit-2 cases
+        (plain, ["kernel", "--softmax", "--disc", "bilinear"]),
+        (plain, ["conv", "--input", "missing.csv"]),
+        (plain, ["verify", "--probe", "conjecture", "--N-list", "6"]),
+        (plain, ["verify", "--probe", "conjecture", "--N-list", "7"]),
+        (plain, ["bench", "--N-grid", "8", "--L-grid", "16", "--repeats", "0"]),
+        (plain, ["bench", "--N-grid", "64", "--L-grid", "1024", "--repeats", "1"]),
+    ]
+    return runs
+
+
+def _write_inputs(directory: str) -> None:
+    for name, (length, seed) in INPUTS.items():
+        values = np.random.default_rng(seed).standard_normal(length)
+        rows = "".join("%d,%.17g\n" % row for row in enumerate(values.tolist()))
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write("l,value\n" + rows)
+
+
+def _blank_numbers(obj):
+    if isinstance(obj, dict):
+        return {key: _blank_numbers(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_blank_numbers(value) for value in obj]
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return None
+    return obj
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/cli_corpus.py SRC_DIR", file=sys.stderr)
+        return 2
+    src = os.path.abspath(argv[0])
+    base_env = {key: value for key, value in os.environ.items() if key != "SSM_SEED"}
+    base_env |= {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    with tempfile.TemporaryDirectory() as directory:
+        _write_inputs(directory)
+        for extra, args in _corpus():
+            done = subprocess.run([sys.executable, "-m", "dssm.cli", *args], cwd=directory,
+                                  env=base_env | extra, capture_output=True)
+            out = done.stdout
+            if args[0] == "bench" and done.returncode != 2:
+                out = json.dumps(_blank_numbers(json.loads(out)), sort_keys=True).encode()
+            shown = " ".join([f"{k}={v}" for k, v in extra.items()] + args)
+            print(_digest(out), done.returncode, _digest(done.stderr), shown, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
