@@ -472,11 +472,10 @@ def cmd_verify(config: argparse.Namespace) -> int:
     if len(config.theorem_N) < 2:
         # the theorem probe passes on a strict decrease, which one size cannot show
         raise UsageError(f"--theorem-N needs at least two state sizes, got {config.theorem_N}")
-    if "conjecture" in config.probe and max(config.N_list) < 8:
-        # below N = 8 the probe's middle band is empty or holds index 0, so
-        # its band ratio is NaN or infinite
+    if "conjecture" in config.probe and max(config.N_list) < oracle.CONJECTURE_MIN_N:
         raise UsageError(
-            f"--N-list needs a state size of at least 8 for the conjecture probe, got {config.N_list}"
+            f"--N-list needs a state size of at least {oracle.CONJECTURE_MIN_N} for the "
+            f"conjecture probe, got {config.N_list}"
         )
     reports = [_PROBES[name](config) for name in config.probe]
     _write_json(config.output, reports)

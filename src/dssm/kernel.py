@@ -4,8 +4,10 @@ The kernel is K_l = 2 Re( sum_n C_n B_bar_n A_bar_n^l ) over the
 half-spectrum (factor 1 instead of 2 for purely real specs).  One engine
 computes it for both the Vandermonde and the DSS softmax kernel: it streams
 over L in fixed-size chunks with O(N + chunk) auxiliary memory, and its
-output does not depend on the chunk schedule, bit for bit.  `dssm bench`
-measures that memory with tracemalloc (acceptance criterion 07).
+output does not depend on the chunk schedule, bit for bit, under two rules:
+chunks are at least 2 samples long, and terms are multiplied out of the
+powers buffer, never in place.  `dssm bench` measures that memory with
+tracemalloc (acceptance criterion 07).
 """
 
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ __all__ = [
 PAIR_OUTPUT_WEIGHT = 2.0
 
 # Streaming chunk length (build-time constant; buffers are allocated at this
-# size plus two regardless of L so auxiliary memory does not scale with the
+# size plus one regardless of L so auxiliary memory does not scale with the
 # problem).
 STREAM_CHUNK = 4096
 
@@ -85,51 +87,44 @@ def _kernel_values(
 ) -> np.ndarray:
     """out_weight * Re(sum_n w_n a_n^l) for l < L, walked over L in chunks.
 
-    Each mode keeps one running power; a chunk's powers come from a cumprod
-    seeded with it, and the weighted terms are summed over n by a
-    binary-counter pairwise merge whose order depends only on the mode count.
-    Buffers hold chunk + 2 samples whatever L is, so auxiliary memory is
-    O(N + chunk).
+    Each mode keeps one running power, which seeds a cumprod one sample
+    longer than the chunk; its last element seeds the next chunk.  Each term
+    is multiplied straight into its level of a binary-counter pairwise merge
+    over n, so the summation order depends only on the mode count.  Buffers
+    hold chunk + 1 samples whatever L is: O(N + chunk) auxiliary memory.
 
     The output does not depend on `chunk`, bit for bit.  numpy rounds a
     2-element complex cumprod, and an in-place 1-element complex multiply,
-    differently from the same element inside a longer array; so the final
-    chunk absorbs a remainder of 1-2 samples, and terms are multiplied out of
-    the powers buffer into the merge buffer, never in place.
+    differently from the same element inside a longer array; so a `chunk`
+    below 2 is raised to 2, and terms are multiplied out of the powers
+    buffer, never in place.
     """
     n_half = len(a)
-    size = chunk + 2
+    chunk = max(chunk, 2)
     running = np.ones(n_half, dtype=complex)
-    powers = np.empty(size, dtype=complex)
-    term = np.empty(size, dtype=complex)
-    levels = np.empty((max(1, n_half.bit_length()), size), dtype=complex)
+    powers = np.empty(chunk + 1, dtype=complex)
+    levels = np.empty((max(1, n_half.bit_length()), chunk), dtype=complex)
+    # the levels left filled after the last mode: the set bits of n_half
+    k0, *rest = [k for k in range(len(levels)) if n_half >> k & 1]
 
     out = np.empty(L, dtype=float)
-    start = 0
-    while start < L:
-        width = L - start if L - start <= size else chunk
-        p, t, lv = powers[:width], term[:width], levels[:, :width]
-        filled = [False] * len(lv)
+    for start in range(0, L, chunk):
+        width = min(chunk, L - start)
+        p, lv = powers[: width + 1], levels[:, :width]
         for i in range(n_half):
             p[0] = running[i]
             p[1:] = a[i]
             np.cumprod(p, out=p)
-            running[i] = p[-1] * a[i]
-            np.multiply(p, w[i], out=t)
-            k = 0
-            while filled[k]:
-                t += lv[k]
-                filled[k] = False
-                k += 1
-            lv[k] = t
-            filled[k] = True
+            running[i] = p[width]
+            # mode i lands on the first empty level, past its trailing ones
+            k = (i ^ (i + 1)).bit_length() - 1
+            np.multiply(p[:width], w[i], out=lv[k])
+            for j in range(k):
+                lv[k] += lv[j]
         # fold the partial sums from the lowest level up
-        ks = [k for k in range(len(lv)) if filled[k]]
-        t[:] = lv[ks[0]]
-        for k in ks[1:]:
-            t += lv[k]
-        out[start : start + width] = out_weight * t.real
-        start += width
+        for k in rest:
+            lv[k0] += lv[k]
+        np.multiply(lv[k0].real, out_weight, out=out[start : start + width])
     return out
 
 

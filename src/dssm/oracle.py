@@ -34,6 +34,9 @@ __all__ = [
 
 ORACLE_MAX_N = 4096
 
+# Below this N the conjecture band (middle half of n * Im_n) is empty or holds n = 0.
+CONJECTURE_MIN_N = 8
+
 
 @dataclass
 class ConvergenceReport:
@@ -237,8 +240,10 @@ def conjecture_probe(N: int) -> ConjectureReport:
     positive spectrum (inverse-law band), and the worst real-part deviation
     from -1/2.  The constant ``c_estimate = Im_max - N^2/pi`` is negative and
     tends to -pi/6 (Im_max = N^2/pi - pi/6 + O(1/N^2)); the criterion bounds
-    the deficit ``-c_estimate``.
+    the deficit ``-c_estimate``.  N below CONJECTURE_MIN_N raises ValueError.
     """
+    if N < CONJECTURE_MIN_N:
+        raise ValueError(f"conjecture probe needs N >= {CONJECTURE_MIN_N}, got {N}")
     values = hippo_d_spectrum(N).eigenvalues
     # the conjugate-pair half, as init_legsd takes it (sorted by descending
     # Im); for odd N a sign test would keep the zero mode, whose imaginary
@@ -251,12 +256,11 @@ def conjecture_probe(N: int) -> ConjectureReport:
     lo = len(positive) // 4
     hi = 3 * len(positive) // 4
     middle = scaled[lo:hi]
-    band_ratio = float(middle.max() / middle.min()) if len(middle) else float("nan")
     return ConjectureReport(
         N=N,
         max_imag=max_imag,
         c_estimate=float(c_estimate),
-        band_ratio=band_ratio,
+        band_ratio=float(middle.max() / middle.min()),
         max_real_deviation=float(np.abs(values.real + 0.5).max()),
         scaled_imag=scaled,
     )

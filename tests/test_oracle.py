@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from dssm.hippo import DenseSpec, hermitian_eigendecompose, make_hippo_legs, mak
 from dssm.inits import DiagonalSpec, init_lin
 from dssm.kernel import sample_basis, vandermonde_kernel
 from dssm.oracle import (
+    CONJECTURE_MIN_N,
     conjecture_probe,
     dense_kernel,
     discrete_basis,
@@ -224,6 +227,14 @@ class TestConjectureProbe:
         # number of either sign; it is not part of the positive half
         report = conjecture_probe(N)
         assert len(report.scaled_imag) == (N - 1) // 2
+
+    @pytest.mark.parametrize("N", range(1, CONJECTURE_MIN_N))
+    def test_undefined_band_is_rejected(self, N):
+        # the middle band is empty or holds index 0 below the minimum size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="conjecture"):
+                conjecture_probe(N)
 
     def test_constant_trend_tightens_with_n(self):
         gap_64 = abs(conjecture_probe(64).c_estimate + np.pi / 6.0)

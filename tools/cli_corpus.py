@@ -40,6 +40,12 @@ def _corpus() -> list[tuple[dict, list[str]]]:
                                      "--dt", "0.01"]))
     for L in (4097, 65536):
         runs.append((plain, ["kernel", "--init", "lin", "--N", "256", "--L", str(L)]))
+    # mode counts N/2 with three or more set bits pin the order of the mode fold
+    for N in (14, 22, 26, 200):
+        runs.append((plain, ["kernel", "--init", "lin", "--N", str(N), "--L", "4097",
+                             "--dt", "0.01"]))
+    runs.append((plain, ["kernel", "--preset", "dss", "--init", "inv", "--N", "200",
+                         "--L", "4097", "--dt", "0.01"]))
     for name in INPUTS:
         for mode in ("fft", "scan"):
             for preset in ("s4d", "s4d-zoh"):
