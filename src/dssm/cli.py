@@ -28,7 +28,7 @@ import numpy as np
 
 from .conv import Signal, fft_causal_conv, recurrent_scan
 from .discretize import RULES, discretize
-from .hippo import DenseSpec, hippo_d_spectrum, make_hippo_legs, make_hippo_normal
+from .hippo import hippo_d_spectrum, make_hippo_legs, make_hippo_normal
 from .inits import (
     INIT_NAMES,
     DiagonalSpec,
@@ -219,28 +219,20 @@ def cmd_kernel(config: argparse.Namespace) -> int:
 def cmd_basis(config: argparse.Namespace) -> int:
     if config.rows < 0:
         raise UsageError(f"--rows must be nonnegative (0 means all rows), got {config.rows}")
-    t = np.linspace(0.0, config.t_max, config.points)
     dense = config.dense
-    if dense is None:
-        spec, _ = build_spec(config)
-        with np.errstate(over="ignore", invalid="ignore"):  # see cmd_kernel
-            table = sample_basis(spec, t)
-        name = config.init
-    else:
-        N = config.N
-        if dense == "legs":
-            legs, _ = make_hippo_legs(N)
-            table = sample_basis(DenseSpec(A=legs.A, B=legs.B, C=None, N=N), t)
+    with np.errstate(over="ignore", invalid="ignore"):  # see cmd_kernel
+        t = np.linspace(0.0, config.t_max, config.points)
+        _require_finite(t, "basis time grid")
+        if dense is None:
+            table = sample_basis(build_spec(config)[0], t)
+        elif dense == "legs":
+            table = sample_basis(make_hippo_legs(config.N)[0], t)
         elif dense == "normal":
-            table = oracle.smoothed_normal_basis(N, t)
-        elif dense == "normal-unscaled":
-            normal = make_hippo_normal(N)
-            table = sample_basis(DenseSpec(A=normal.A, B=normal.B, C=None, N=N), t)
+            table = oracle.smoothed_normal_basis(config.N, t)
         else:
-            raise UsageError(f"unknown dense basis '{dense}'")
-        name = f"dense-{dense}"
+            table = sample_basis(make_hippo_normal(config.N), t)
+    name = config.init if dense is None else f"dense-{dense}"
     values = table.values[: config.rows] if config.rows else table.values
-    _require_finite(t, "basis time grid")
     _require_finite(values, "basis")
     meta = {"basis": name, "N": config.N, "rows": values.shape[0], "points": len(t)}
     rows = (

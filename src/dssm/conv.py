@@ -92,9 +92,7 @@ def _bluestein(x: np.ndarray) -> np.ndarray:
     b = np.zeros(m, dtype=complex)
     b[:n] = np.conj(chirp)
     b[m - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
-    # inverse transform of the product by conjugation, as in radix_ifft
-    conv = np.conj(_fft_pow2(np.conj(_fft_pow2(a) * _fft_pow2(b)))) / m
-    return conv[:n] * chirp
+    return radix_ifft(_fft_pow2(a) * _fft_pow2(b))[:n] * chirp
 
 
 def radix_fft(x: np.ndarray) -> np.ndarray:
@@ -126,7 +124,7 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     L = K.L
     if u.length != L:
         raise ValueError(f"signal length {u.length} != kernel length {L}")
-    m = 1 << (2 * L - 1).bit_length() if L > 1 else 2
+    m = 1 << (2 * L - 1).bit_length()
     kernel_padded = np.zeros(m)
     kernel_padded[:L] = K.values
     K_f = radix_fft(kernel_padded)

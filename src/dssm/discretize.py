@@ -93,6 +93,8 @@ def dense_matrix_exp(M: np.ndarray) -> np.ndarray:
         raise ValueError("matrix exponential needs a square matrix")
     dtype = np.result_type(M.dtype, float)
     norm = float(np.abs(M).sum(axis=0).max()) if n else 0.0
+    if not np.isfinite(norm):
+        raise ValueError("matrix exponential of a non-finite matrix")
     squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
     A = M.astype(dtype) / (2.0**squarings)
     E = np.eye(n, dtype=dtype)
@@ -105,6 +107,22 @@ def dense_matrix_exp(M: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         E = E @ E
     return E
+
+
+def _orbit(M: np.ndarray, v: np.ndarray, count: int, every: int = 1) -> np.ndarray:
+    """Columns v, M^every v, M^(2 every) v, ... (`count` of them).
+
+    Each step is one `v = M @ v` in the dtype result_type(M, v); only every
+    `every`-th state is stored.
+    """
+    values = np.empty((len(v), count), dtype=np.result_type(M, v))
+    v = v.astype(values.dtype)
+    values[:, 0] = v
+    for step in range(1, (count - 1) * every + 1):
+        v = M @ v
+        if step % every == 0:
+            values[:, step // every] = v
+    return values
 
 
 def _as_system(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -247,24 +247,6 @@ def init_log_dt(dt_min: float = 1e-3, dt_max: float = 1e-1, seed: int | None = N
     return float(rng.uniform(np.log(dt_min), np.log(dt_max)))
 
 
-INIT_NAMES = (
-    "legsd",
-    "inv",
-    "lin",
-    "inv2",
-    "quad",
-    "real",
-    "rand",
-    "inv-rimag",
-    "lin-rimag",
-)
-
-_SEEDED = {
-    "rand": init_rand,
-    "inv-rimag": init_inv_random_imag,
-    "lin-rimag": init_lin_random_imag,
-}
-
 _DETERMINISTIC = {
     "legsd": init_legsd,
     "inv": init_inv,
@@ -273,6 +255,14 @@ _DETERMINISTIC = {
     "quad": init_quad,
     "real": init_real,
 }
+
+_SEEDED = {
+    "rand": init_rand,
+    "inv-rimag": init_inv_random_imag,
+    "lin-rimag": init_lin_random_imag,
+}
+
+INIT_NAMES = (*_DETERMINISTIC, *_SEEDED)
 
 
 def make_init(name: str, N: int, seed: int | None = None) -> DiagonalSpec:

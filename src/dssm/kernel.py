@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DiscreteParams, dense_matrix_exp
+from .discretize import DiscreteParams, _orbit, dense_matrix_exp
 from .hippo import DenseSpec
 from .inits import DiagonalSpec
 
@@ -229,16 +229,12 @@ def sample_basis(spec: DiagonalSpec | DenseSpec, t_grid: np.ndarray) -> BasisTab
         raise TypeError("spec must be a DiagonalSpec or DenseSpec")
 
     A, B = spec.A, spec.B
-    values = np.empty((spec.N, len(t)), dtype=np.result_type(A.dtype, B.dtype, float))
     h = _uniform_spacing(t)
     if h is not None:
-        x = dense_matrix_exp(t[0] * A) @ B if t[0] != 0.0 else B.astype(values.dtype)
-        step = dense_matrix_exp(h * A)
-        values[:, 0] = x
-        for j in range(1, len(t)):
-            x = step @ x
-            values[:, j] = x
+        x0 = dense_matrix_exp(t[0] * A) @ B if t[0] != 0.0 else B
+        values = _orbit(dense_matrix_exp(h * A), x0, len(t))
     else:
+        values = np.empty((spec.N, len(t)), dtype=np.result_type(A.dtype, B.dtype, float))
         for j, tj in enumerate(t):
             values[:, j] = dense_matrix_exp(tj * A) @ B
     return BasisTable(t_grid=t.copy(), values=values)

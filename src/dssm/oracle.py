@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import discretize, lu_factor, lu_solve
+from .discretize import _orbit, discretize, lu_factor, lu_solve
 from .hippo import DenseSpec, hippo_d_spectrum, make_hippo_legs, make_hippo_normal
 from .inits import DiagonalSpec
-from .kernel import BasisTable, Kernel, KernelMeta, sample_basis
+from .kernel import BasisTable, Kernel, KernelMeta, _uniform_spacing, sample_basis
 
 __all__ = [
     "ConvergenceReport",
@@ -67,8 +67,8 @@ class ConjectureReport:
 def dense_kernel(spec: DenseSpec, rule: str, dt: float, L: int) -> Kernel:
     """Discrete kernel (C B_bar, C A_bar B_bar, ...) by direct iteration.
 
-    Small-scale reference path: discretizes the dense system and applies
-    A_bar repeatedly, recording the real part of C v at each step.
+    Small-scale reference path: the real part of C times the discrete basis
+    (B_bar, A_bar B_bar, ...) of the dense system.
     """
     if spec.N > ORACLE_MAX_N:
         raise ValueError(f"dense oracle is capped at N={ORACLE_MAX_N}")
@@ -76,13 +76,7 @@ def dense_kernel(spec: DenseSpec, rule: str, dt: float, L: int) -> Kernel:
         raise ValueError("dense kernel needs C")
     if L < 1:
         raise ValueError("kernel length must be >= 1")
-    disc = discretize(spec.A, spec.B, dt, rule)
-    v = disc.B_bar.astype(complex)
-    C = spec.C.astype(complex)
-    values = np.empty(L, dtype=float)
-    for l in range(L):
-        values[l] = (C @ v).real
-        v = disc.A_bar @ v
+    values = (spec.C.astype(complex) @ discrete_basis(spec, rule, dt, L).values).real
     meta = KernelMeta(init="dense", rule=rule, N=spec.N, dt=float(dt))
     return Kernel(values=values, L=L, meta=meta)
 
@@ -197,21 +191,15 @@ def smoothed_normal_basis(N: int, t_grid: np.ndarray, refine: int = 4) -> BasisT
     t = np.asarray(t_grid, dtype=float)
     if len(t) < 2:
         raise ValueError("need at least two grid points")
-    spacing = float(t[1] - t[0])
-    if spacing <= 0 or not np.allclose(np.diff(t), spacing, rtol=1e-9, atol=0.0):
+    spacing = _uniform_spacing(t)
+    if spacing is None or not spacing > 0:
         raise ValueError("t_grid must be uniformly spaced")
     if t[0] != 0.0:
         raise ValueError("grid must start at t=0")
     h = spacing / refine
     normal = make_hippo_normal(N)
     disc = discretize(normal.A, normal.B / 2.0, h, "bilinear")
-    values = np.empty((N, len(t)))
-    v = disc.B_bar / h
-    steps = (len(t) - 1) * refine + 1
-    for l in range(steps):
-        if l % refine == 0:
-            values[:, l // refine] = v
-        v = disc.A_bar @ v
+    values = _orbit(disc.A_bar, disc.B_bar / h, len(t), every=refine)
     return BasisTable(t_grid=t.copy(), values=values)
 
 
@@ -325,9 +313,5 @@ def discrete_basis(spec: DenseSpec, rule: str, dt: float, L: int) -> BasisTable:
     if L < 1:
         raise ValueError("need L >= 1")
     disc = discretize(spec.A, spec.B, dt, rule)
-    values = np.empty((spec.N, L), dtype=disc.B_bar.dtype)
-    v = disc.B_bar.copy()
-    for l in range(L):
-        values[:, l] = v
-        v = disc.A_bar @ v
+    values = _orbit(disc.A_bar, disc.B_bar, L)
     return BasisTable(t_grid=dt * np.arange(L, dtype=float), values=values)

@@ -227,8 +227,11 @@ class TestBasisCommand:
          "--points", "3"],
         ["bench", "--N-grid", "8", "--L-grid", "16,32", "--repeats", "1", "--dt", "1e308",
          "--disc", "zoh"],
+        ["basis", "--dense", "legs", "--N", "8", "--t-max", "1e308", "--points", "3"],
+        ["basis", "--dense", "normal-unscaled", "--N", "8", "--t-max", "1e308", "--points", "3"],
+        ["basis", "--init", "lin", "--N", "8", "--t-max", "inf", "--points", "3"],
     ],
-    ids=["kernel", "basis", "bench"],
+    ids=["kernel", "basis", "bench", "dense-basis", "dense-unscaled-basis", "infinite-grid"],
 )
 def test_overflowing_input_reports_only_the_finiteness_error(capsys, argv):
     with warnings.catch_warnings():

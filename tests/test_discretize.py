@@ -139,6 +139,13 @@ class TestDenseMatrixExp:
         reference = taylor_exp_oracle(M, terms=40, squarings=9)
         np.testing.assert_allclose(ours, reference.real, rtol=1e-9, atol=1e-9 * np.abs(ours).max())
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_matrix_is_rejected(self, bad):
+        M = np.eye(3)
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite matrix"):
+            dense_matrix_exp(M)
+
 
 class TestInvariants:
     def test_bilinear_zoh_cubic_agreement(self):

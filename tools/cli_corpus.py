@@ -59,6 +59,10 @@ def _corpus() -> list[tuple[dict, list[str]]]:
         (plain, ["basis", "--init", "lin", "--N", "8"]),
         (plain, ["basis", "--dense", "legs", "--N", "64", "--rows", "5"]),
         (plain, ["basis", "--dense", "normal", "--N", "16", "--rows", "0", "--points", "33"]),
+        (plain, ["basis", "--dense", "normal-unscaled", "--N", "32", "--rows", "0",
+                 "--points", "17"]),
+        (plain, ["basis", "--dense", "legs", "--N", "8", "--points", "1"]),  # pointwise path
+        (plain, ["basis", "--dense", "legs", "--N", "12", "--points", "2", "--t-max", "0.5"]),
         (plain, ["verify"]),
         (plain, ["verify", "--probe", "theorem", "--theorem-N", "64,64", "--points", "64"]),
         ({"SSM_SEED": "3"}, ["verify", "--probe", "duality,dss,stability"]),
@@ -71,6 +75,8 @@ def _corpus() -> list[tuple[dict, list[str]]]:
         (plain, ["verify", "--probe", "conjecture", "--N-list", "7"]),
         (plain, ["bench", "--N-grid", "8", "--L-grid", "16", "--repeats", "0"]),
         (plain, ["bench", "--N-grid", "64", "--L-grid", "1024", "--repeats", "1"]),
+        (plain, ["basis", "--dense", "legs", "--N", "8", "--t-max", "1e308", "--points", "3"]),
+        (plain, ["basis", "--init", "lin", "--N", "8", "--t-max", "inf", "--points", "3"]),
     ]
     return runs
 
