@@ -2,13 +2,21 @@
 
 The recurrence doubles as the ground-truth oracle for the Vandermonde kernel
 and as the autoregressive mode (it returns its final state so scans can be
-chunked).  The FFT is a local power-of-two four-step transform (matmuls with
-a cached 32-point DFT matrix and twiddle tables) with a Bluestein fallback for
-arbitrary lengths.
+chunked).  It runs in blocks of 64 steps: the diagonal recurrence turns a
+block into two small matmuls with tables built, on each call, from one
+power table a^0..a^64 (the chunked form of state-space duality, Dao & Gu,
+arXiv 2405.21060, §6).  Blocks sit at fixed positions of the stream, so a
+scan continued from a returned state reproduces one long call bit for bit.
+The per-sample loop stays as the private reference `_sequential_scan`; the
+scan builds its own tables, so the kernel-vs-scan oracles stay independent.
+
+The FFT is a local power-of-two four-step transform (matmuls with a cached
+32-point DFT matrix and twiddle tables) with a Bluestein fallback for
+arbitrary lengths.  Both routes reject a non-finite input sample.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,9 +55,22 @@ class Signal:
 
 @dataclass
 class RecurrentState:
-    """Half-spectrum state vector(s) carried between scan chunks."""
+    """State carried between recurrent_scan calls.
+
+    `x` is the half-spectrum state after the last sample, shape (N/2,) for
+    one channel or (channels, N/2).  The scan works in blocks anchored at the
+    stream start, and two private fields let a continuing call recompute the
+    current block exactly: `_block_start`, the (channels, N/2) state at the
+    start of that block, and `_pending`, its inputs so far, (channels, r) with
+    0 <= r < 64.  A state built from `x` alone starts a new block grid at x.
+    """
 
     x: np.ndarray
+    _block_start: np.ndarray | None = field(default=None, repr=False)
+    _pending: np.ndarray | None = field(default=None, repr=False)
+
+
+_SCAN_BLOCK = 64  # steps per recurrent_scan block
 
 
 _RADIX = 32  # four-step split; a transform of at most this length is one matmul
@@ -120,6 +141,8 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     Transforms use the next power of two >= 2L, so linear (not circular)
     convolution is recovered on the first L outputs.  The imaginary residue
     is checked against 1e-9 times the output magnitude before discarding.
+    A non-finite input sample is an error: it would turn every output of its
+    row into NaN.
     """
     L = K.L
     if u.length != L:
@@ -129,7 +152,7 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     kernel_padded[:L] = K.values
     K_f = radix_fft(kernel_padded)
 
-    rows = np.atleast_2d(u.samples)
+    rows = _finite_rows(u)
     out = np.empty_like(rows)
     for i, row in enumerate(rows):
         padded = np.zeros(m)
@@ -140,6 +163,56 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
             raise ValueError("unexpected imaginary residue in convolution output")
         out[i] = y.real
     return Signal(samples=out if u.samples.ndim == 2 else out[0])
+
+
+def _finite_rows(u: Signal) -> np.ndarray:
+    """The samples as (channels, L) rows; a non-finite sample is an error."""
+    rows = np.atleast_2d(u.samples)
+    if not np.isfinite(rows).all():
+        raise ValueError("input signal has a non-finite sample")
+    return rows
+
+
+def _scan_operands(disc, C, u, conj_pairs):
+    """Checked (a, b, C, w, rows) of a scan call, shared by both scan engines."""
+    if not disc.is_diagonal:
+        raise ValueError("recurrent_scan needs a diagonal discretization")
+    C = np.asarray(C, dtype=complex)
+    if len(C) != len(disc.A_bar):
+        raise ValueError("C length must match the discretized spectrum")
+    weight = PAIR_OUTPUT_WEIGHT if conj_pairs else 1.0
+    return disc.A_bar, disc.B_bar, C, weight, _finite_rows(u)
+
+
+def _state_rows(x: np.ndarray, channels: int, n: int) -> np.ndarray:
+    """A carried state as a fresh contiguous (channels, n) complex array."""
+    x = np.array(np.atleast_2d(x), dtype=complex, order="C")
+    if x.shape != (channels, n):
+        raise ValueError("carried state has the wrong shape")
+    return x
+
+
+def _block_tables(a, b, C, weight):
+    """The three tables of one T-step block, all from the powers a^0..a^T.
+
+    readout, (T + 2n, T): a block row [u_0..u_{T-1}, Re s_0, Im s_0, ...]
+    times readout is the block's output: the upper-triangular Toeplitz factor
+    K_{j-i} on top of the free response w Re(C_n a_n^(j+1) s_n) in real form.
+    inject, (T, 2n): u_i's share a_n^(T-1-i) b_n of the state at the block's
+    end, as interleaved re/im columns.
+    """
+    T = _SCAN_BLOCK
+    n = len(a)
+    powers = np.cumprod(np.vstack([np.ones(n, dtype=complex), np.broadcast_to(a, (T, n))]), axis=0)
+    readout = np.empty((T + 2 * n, T))
+    lagged = np.zeros(2 * T - 1)  # K_{j-i} at index T-1+j-i, zero for j < i
+    lagged[T - 1 :] = weight * (powers[:T] @ (C * b)).real
+    readout[:T] = lagged[np.arange(T - 1, 2 * T - 1) - np.arange(T)[:, None]]
+    free = weight * C * powers[1:]
+    readout[T::2] = free.real.T
+    readout[T + 1 :: 2] = -free.imag.T
+    inject = np.ascontiguousarray(powers[T - 1 :: -1] * b).view(float)
+    return powers, readout, inject
 
 
 def recurrent_scan(
@@ -154,25 +227,76 @@ def recurrent_scan(
     The output weight w is the shared conjugate-pair constant (2) or 1 in
     real mode, matching the kernel convention, so the scan's impulse response
     equals the Vandermonde kernel entry by entry.  Passing the returned state
-    back in continues the scan exactly where it stopped.
-    """
-    if not disc.is_diagonal:
-        raise ValueError("recurrent_scan needs a diagonal discretization")
-    a = disc.A_bar
-    b = disc.B_bar
-    C = np.asarray(C, dtype=complex)
-    if len(C) != len(a):
-        raise ValueError("C length must match the discretized spectrum")
-    weight = PAIR_OUTPUT_WEIGHT if conj_pairs else 1.0
+    back in continues the scan exactly where it stopped: the concatenated
+    outputs and the final state equal one call over the whole input, bit for
+    bit.  A non-finite input sample is an error.
 
-    rows = np.atleast_2d(u.samples)
+    The scan runs in blocks of T = 64 steps anchored at the stream start.  A
+    block with start state s and inputs u (zero-padded to T) gives its outputs
+    as [u, s] @ readout and the next start state as s a^T + u @ inject (see
+    _block_tables).  A call that continues a partial block recomputes that
+    block from the carried inputs and emits only the new samples.  Every
+    block runs the same full-width matmuls whether it is padded or not, and
+    the Toeplitz factor is zero below the diagonal, so padding only adds
+    exact zeros: that is what makes continuation bit-exact.
+    """
+    a, b, C, weight, rows = _scan_operands(disc, C, u, conj_pairs)
+    channels, L = rows.shape
+    n = len(a)
+    T = _SCAN_BLOCK
+    pending = np.zeros((channels, 0))
+    if state is None:
+        s = np.zeros((channels, n), dtype=complex)
+    elif state._block_start is None:  # a state from x alone starts a new block grid
+        s = _state_rows(state.x, channels, n)
+    else:
+        s, pending = _state_rows(state._block_start, channels, n), state._pending
+        if pending.shape[0] != channels:
+            raise ValueError("carried state has the wrong shape")
+    done = pending.shape[1]
+    stream = np.concatenate([pending, rows], axis=1)
+    full, rest = divmod(done + L, T)
+    powers, readout, inject = _block_tables(a, b, C, weight)
+
+    out = np.empty((channels, (full + (rest > 0)) * T))
+    work = np.empty((channels, T + 2 * n))  # one block row: inputs, then Re/Im of its start state
+    for k in range(full):
+        work[:, :T] = stream[:, k * T : (k + 1) * T]
+        work[:, T:] = s.view(float)
+        out[:, k * T : (k + 1) * T] = work @ readout
+        s = s * powers[T] + (work[:, :T] @ inject).view(complex)
+    pending = stream[:, full * T :].copy()
+    x = s.copy()  # not s itself: editing the returned x must not move the carried block
+    if rest:
+        work[:, :T] = 0.0
+        work[:, :rest] = pending
+        work[:, T:] = s.view(float)
+        out[:, full * T :] = work @ readout
+        # the state after `rest` steps: inputs right-aligned against a^(T-1-i) b
+        aligned = np.zeros((channels, T))
+        aligned[:, T - rest :] = pending
+        x = s * powers[rest] + (aligned @ inject).view(complex)
+
+    y = out[:, done : done + L]
+    final = RecurrentState(x=x if u.samples.ndim == 2 else x[0], _block_start=s, _pending=pending)
+    return Signal(samples=y if u.samples.ndim == 2 else y[0]), final
+
+
+def _sequential_scan(
+    disc: DiscreteParams,
+    C: np.ndarray,
+    u: Signal,
+    state: RecurrentState | None = None,
+    conj_pairs: bool = True,
+) -> tuple[Signal, RecurrentState]:
+    """Reference for recurrent_scan: one step x = a x + b u_k per sample,
+    starting from state.x.  The returned state carries x alone."""
+    a, b, C, weight, rows = _scan_operands(disc, C, u, conj_pairs)
     channels, L = rows.shape
     if state is None:
         x = np.zeros((channels, len(a)), dtype=complex)
     else:
-        x = np.atleast_2d(np.asarray(state.x, dtype=complex)).copy()
-        if x.shape != (channels, len(a)):
-            raise ValueError("carried state has the wrong shape")
+        x = _state_rows(state.x, channels, len(a))
     out = np.empty((channels, L), dtype=float)
     for l in range(L):
         x = a * x + b * rows[:, l][:, None]

@@ -4,12 +4,14 @@ import pytest
 from dssm.conv import (
     RecurrentState,
     Signal,
+    _sequential_scan,
     fft_causal_conv,
     radix_fft,
     radix_ifft,
     recurrent_scan,
 )
-from dssm.discretize import DiscreteParams, discretize
+from dssm.discretize import RULES, DiscreteParams, discretize
+from dssm.inits import make_init
 from dssm.kernel import Kernel, KernelMeta, vandermonde_kernel
 from dssm.oracle import random_stable_spec
 
@@ -133,6 +135,13 @@ class TestFftCausalConv:
         )
         assert np.abs(combined - split).max() <= 1e-10 * max(np.abs(split).max(), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_input(self, bad):
+        u = np.ones((2, 16))
+        u[1, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fft_causal_conv(Signal(u), as_kernel(np.ones(16)))
+
 
 class TestRecurrentScan:
     def test_impulse_is_kernel(self):
@@ -226,6 +235,101 @@ class TestRecurrentScan:
             recurrent_scan(
                 disc, np.ones(2), Signal(np.zeros(4)), state=RecurrentState(np.zeros(3))
             )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_input(self, bad):
+        rng = np.random.default_rng(30)
+        spec, dt = random_stable_spec(rng)
+        disc = discretize(spec.A_half, spec.B_half, dt, "zoh")
+        u = np.ones(100)
+        u[70] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            recurrent_scan(disc, spec.C_half, Signal(u))
+
+
+def relative_error(got, want):
+    scale = max(float(np.abs(want).max()), np.finfo(float).tiny)
+    return float(np.abs(got - want).max()) / scale
+
+
+def signal_rows(rng, channels, L):
+    """One channel as a 1-D signal, more as (channels, L) rows."""
+    return rng.standard_normal(L) if channels == 1 else rng.standard_normal((channels, L))
+
+
+class TestBlockedScan:
+    """recurrent_scan works in 64-step blocks; _sequential_scan is its
+    one-step-per-sample reference."""
+
+    def assert_matches_reference(self, disc, C, u, state=None, conj_pairs=True):
+        got, got_state = recurrent_scan(disc, C, Signal(u), state, conj_pairs)
+        want, want_state = _sequential_scan(disc, C, Signal(u), state, conj_pairs)
+        assert got.samples.shape == want.samples.shape
+        assert got_state.x.shape == want_state.x.shape
+        assert relative_error(got.samples, want.samples) <= 1e-12
+        assert relative_error(got_state.x, want_state.x) <= 1e-12
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("conj_pairs", [True, False])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 4])
+    def test_matches_sequential_reference(self, rule, conj_pairs, channels):
+        rng = np.random.default_rng([31, channels, conj_pairs])
+        spec, dt = random_stable_spec(rng)
+        disc = discretize(spec.A_half, spec.B_half, dt, rule)
+        for L in (1, 63, 64, 65, 197, 5000):
+            self.assert_matches_reference(
+                disc, spec.C_half, signal_rows(rng, channels, L), conj_pairs=conj_pairs
+            )
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_state_from_x_alone(self, channels):
+        rng = np.random.default_rng([32, channels])
+        spec, dt = random_stable_spec(rng)
+        disc = discretize(spec.A_half, spec.B_half, dt, "bilinear")
+        x = rng.standard_normal((channels, spec.n_half)) + 1j * rng.standard_normal(
+            (channels, spec.n_half)
+        )
+        state = RecurrentState(x[0] if channels == 1 else x)
+        for L in (1, 65, 197):
+            self.assert_matches_reference(disc, spec.C_half, signal_rows(rng, channels, L), state)
+
+    def test_strongly_damped_modes(self):
+        # |a| = exp(-12.5): a^64 underflows to zero inside the block tables
+        rng = np.random.default_rng(33)
+        spec = make_init("lin", 64)
+        C = rng.standard_normal(spec.n_half) + 1j * rng.standard_normal(spec.n_half)
+        disc = discretize(spec.A_half, spec.B_half, 25.0, "zoh")
+        assert np.all(np.abs(disc.A_bar) ** 64 == 0.0)
+        self.assert_matches_reference(disc, C, rng.standard_normal(5000))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("rule", RULES)
+    def test_any_split_equals_one_call(self, channels, rule):
+        rng = np.random.default_rng([34, channels])
+        spec, dt = random_stable_spec(rng)
+        disc = discretize(spec.A_half, spec.B_half, dt, rule)
+        u = signal_rows(rng, channels, 1500)
+        whole, state_whole = recurrent_scan(disc, spec.C_half, Signal(u))
+        pieces, state, start = [], None, 0
+        while start < u.shape[-1]:
+            size = int(rng.choice([1, 63, 64, 65, int(rng.integers(2, 200))]))
+            out, state = recurrent_scan(
+                disc, spec.C_half, Signal(u[..., start : start + size]), state=state
+            )
+            pieces.append(out.samples)
+            start += size
+        assert len(pieces) > 20
+        np.testing.assert_array_equal(np.concatenate(pieces, axis=-1), whole.samples)
+        np.testing.assert_array_equal(state.x, state_whole.x)
+
+    def test_carried_block_state_needs_same_channels(self):
+        rng = np.random.default_rng(35)
+        spec, dt = random_stable_spec(rng)
+        disc = discretize(spec.A_half, spec.B_half, dt, "zoh")
+        for length in (64, 70):  # at a block boundary and inside a block
+            _, carried = recurrent_scan(disc, spec.C_half, Signal(rng.standard_normal((3, length))))
+            with pytest.raises(ValueError, match="carried state"):
+                recurrent_scan(disc, spec.C_half, Signal(np.zeros((2, 5))), state=carried)
 
 
 class TestSignal:

@@ -1,4 +1,4 @@
-"""Property tests of the kernel, scan, discretization and CSV contracts,
+"""Property tests of the kernel, scan, discretization, CSV and CLI contracts,
 mostly over random stable specs and both discretization rules.
 
 Hypothesis runs derandomized with a small example budget, so every run
@@ -6,14 +6,17 @@ draws the same cases; the hand-seeded tests in the other modules stay as
 they are.
 """
 
+import contextlib
+import io
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dssm.cli import _csv_text, read_signal_csv
+from dssm.cli import _csv_text, main, read_signal_csv
 from dssm.conv import Signal, fft_causal_conv, recurrent_scan
 from dssm.discretize import RULES, discretize
 from dssm.kernel import STREAM_CHUNK, vandermonde_kernel
@@ -108,3 +111,55 @@ def test_csv_round_trip_is_lossless(values):
             handle.write(text)
         parsed = read_signal_csv(path)
     np.testing.assert_array_equal(parsed.view(np.int64), np.asarray(values).view(np.int64))
+
+
+# edge timesteps: nan, infinities, negative, zero, subnormal, tiny, huge
+edge_dt = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "5e-324", "1e-300", "1e308"])
+BLOCK_EDGE_LENGTHS = (1, 63, 64, 65)  # around the scan's 64-step block
+
+
+def run_cli(argv):
+    """main(argv) in process with every warning an error; (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def csv_values(text):
+    """Every field after the header row of a CSV, as floats."""
+    rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+    return np.array([float(field) for row in rows for field in row.split(",")])
+
+
+@settings(deterministic, max_examples=100)
+@given(
+    command=st.sampled_from(["kernel", "scan", "fft"]),
+    dt=edge_dt,
+    L=st.sampled_from(BLOCK_EDGE_LENGTHS),
+    N=st.sampled_from([1, 2, 8, 16]),
+    preset=st.sampled_from(["s4d", "s4d-zoh", "dss"]),
+    init=st.sampled_from(["lin", "inv", "legsd"]),
+)
+def test_cli_exits_cleanly_on_edge_inputs(command, dt, L, N, preset, init):
+    with tempfile.TemporaryDirectory() as directory:
+        if command == "kernel":
+            argv = ["kernel", "--L", str(L)]
+        else:
+            path = os.path.join(directory, "u.csv")
+            values = np.random.default_rng(L).standard_normal(L)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(_csv_text({}, ["l", "value"], "%d,%.17g\n", enumerate(values)))
+            argv = ["conv", "--input", path, "--mode", command]
+        code, out, err = run_cli(
+            argv + [f"--dt={dt}", "--N", str(N), "--preset", preset, "--init", init]
+        )
+    assert code in (0, 2)
+    if code == 0:
+        assert np.isfinite(csv_values(out)).all()
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

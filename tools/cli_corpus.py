@@ -26,7 +26,9 @@ import tempfile
 
 import numpy as np
 
-INPUTS = {"u5000.csv": (5000, 11), "u4097.csv": (4097, 12)}  # name: (length, seed)
+# name: (length, seed); 63, 64 and 65 samples sit at the scan's 64-step block edge
+INPUTS = {"u5000.csv": (5000, 11), "u4097.csv": (4097, 12), "u63.csv": (63, 13),
+          "u64.csv": (64, 14), "u65.csv": (65, 15)}
 
 
 def _corpus() -> list[tuple[dict, list[str]]]:
@@ -46,11 +48,15 @@ def _corpus() -> list[tuple[dict, list[str]]]:
                              "--dt", "0.01"]))
     runs.append((plain, ["kernel", "--preset", "dss", "--init", "inv", "--N", "200",
                          "--L", "4097", "--dt", "0.01"]))
-    for name in INPUTS:
+    for name in ("u5000.csv", "u4097.csv"):
         for mode in ("fft", "scan"):
             for preset in ("s4d", "s4d-zoh"):
                 runs.append((plain, ["conv", "--input", name, "--mode", mode, "--preset", preset,
                                      "--init", "lin", "--N", "64", "--dt", "0.01"]))
+    for name in ("u63.csv", "u64.csv", "u65.csv"):
+        for preset in ("s4d", "s4d-zoh"):
+            runs.append((plain, ["conv", "--input", name, "--mode", "scan", "--preset", preset,
+                                 "--init", "lin", "--N", "64", "--dt", "0.01"]))
     runs += [
         (plain, ["conv", "--input", "u5000.csv", "--mode", "fft", "--preset", "dss",
                  "--init", "inv"]),
