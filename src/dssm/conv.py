@@ -3,10 +3,13 @@
 The recurrence doubles as the ground-truth oracle for the Vandermonde kernel
 and as the autoregressive mode (it returns its final state so scans can be
 chunked).  It runs in blocks of 64 steps: the diagonal recurrence turns a
-block into two small matmuls with tables built, on each call, from one
-power table a^0..a^64 (the chunked form of state-space duality, Dao & Gu,
-arXiv 2405.21060, §6).  Blocks sit at fixed positions of the stream, so a
-scan continued from a returned state reproduces one long call bit for bit.
+block into two small matmuls with tables built from one power table
+a^0..a^64 (the chunked form of state-space duality, Dao & Gu, arXiv
+2405.21060, §6).  A call that starts a scan builds the tables; the returned
+state carries them, with the current block, to the next call.  Blocks sit at
+fixed positions of the stream, so a scan continued from a returned state
+reproduces one long call bit for bit.  Every call computes at least one
+whole block, so it pays off on calls of more than a few samples.
 The per-sample loop stays as the private reference `_sequential_scan`; the
 scan builds its own tables, so the kernel-vs-scan oracles stay independent.
 
@@ -17,6 +20,7 @@ arbitrary lengths.  Both routes reject a non-finite input sample.
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,16 +62,27 @@ class RecurrentState:
     """State carried between recurrent_scan calls.
 
     `x` is the half-spectrum state after the last sample, shape (N/2,) for
-    one channel or (channels, N/2).  The scan works in blocks anchored at the
-    stream start, and two private fields let a continuing call recompute the
-    current block exactly: `_block_start`, the (channels, N/2) state at the
-    start of that block, and `_pending`, its inputs so far, (channels, r) with
-    0 <= r < 64.  A state built from `x` alone starts a new block grid at x.
+    one channel or (channels, N/2).  recurrent_scan returns it read-only with
+    a private `_carry` (see _ScanCarry): the call's block tables, the state at
+    the start of the current 64-step block and that block's inputs so far.
+    The carry is used only while `x` is the very object it was returned with
+    and (A_bar, B_bar, C, w) are unchanged; a state built from `x` alone, one
+    whose `x` was replaced, or one passed to another system starts a new
+    block grid at x.
     """
 
     x: np.ndarray
-    _block_start: np.ndarray | None = field(default=None, repr=False)
-    _pending: np.ndarray | None = field(default=None, repr=False)
+    _carry: "_ScanCarry | None" = field(default=None, repr=False, compare=False)
+
+
+class _ScanCarry(NamedTuple):
+    """What a continuing recurrent_scan needs beyond x."""
+
+    x: np.ndarray  # the x object this carry was returned with
+    key: tuple  # the bytes of (a, b, C) and w that `tables` were built from
+    tables: tuple  # _block_tables(a, b, C, w)
+    start: np.ndarray  # (channels, N/2) state at the start of the current block
+    pending: np.ndarray  # (channels, r) its inputs so far, 0 <= r < 64
 
 
 _SCAN_BLOCK = 64  # steps per recurrent_scan block
@@ -238,47 +253,50 @@ def recurrent_scan(
     block from the carried inputs and emits only the new samples.  Every
     block runs the same full-width matmuls whether it is padded or not, and
     the Toeplitz factor is zero below the diagonal, so padding only adds
-    exact zeros: that is what makes continuation bit-exact.
+    exact zeros: that is what makes continuation bit-exact.  A call computes
+    at least one whole block, and a call that starts a grid also builds the
+    tables, so a call of one sample costs more than one step of
+    _sequential_scan; continued calls of a few samples or more cost less.
     """
     a, b, C, weight, rows = _scan_operands(disc, C, u, conj_pairs)
     channels, L = rows.shape
     n = len(a)
     T = _SCAN_BLOCK
-    pending = np.zeros((channels, 0))
-    if state is None:
-        s = np.zeros((channels, n), dtype=complex)
-    elif state._block_start is None:  # a state from x alone starts a new block grid
-        s = _state_rows(state.x, channels, n)
-    else:
-        s, pending = _state_rows(state._block_start, channels, n), state._pending
-        if pending.shape[0] != channels:
+    key = (a.tobytes(), b.tobytes(), C.tobytes(), weight)
+    carry = None if state is None else state._carry
+    if carry is not None and carry.x is state.x and carry.key == key:
+        if carry.start.shape != (channels, n):
             raise ValueError("carried state has the wrong shape")
+        tables, s, pending = carry.tables, carry.start, carry.pending
+    else:  # a new block grid at x
+        tables = _block_tables(a, b, C, weight)
+        s = np.zeros((channels, n), dtype=complex) if state is None else _state_rows(state.x, channels, n)
+        pending = np.zeros((channels, 0))
+    powers, readout, inject = tables
     done = pending.shape[1]
-    stream = np.concatenate([pending, rows], axis=1)
-    full, rest = divmod(done + L, T)
-    powers, readout, inject = _block_tables(a, b, C, weight)
+    end = done + L
+    rest = end % T
+    stream = np.zeros((channels, -(-end // T) * T))  # whole blocks, the last one zero-padded
+    stream[:, :done] = pending
+    stream[:, done:end] = rows
 
-    out = np.empty((channels, (full + (rest > 0)) * T))
+    out = np.empty_like(stream)
     work = np.empty((channels, T + 2 * n))  # one block row: inputs, then Re/Im of its start state
-    for k in range(full):
-        work[:, :T] = stream[:, k * T : (k + 1) * T]
+    for k in range(0, stream.shape[1], T):
+        work[:, :T] = stream[:, k : k + T]
         work[:, T:] = s.view(float)
-        out[:, k * T : (k + 1) * T] = work @ readout
-        s = s * powers[T] + (work[:, :T] @ inject).view(complex)
-    pending = stream[:, full * T :].copy()
-    x = s.copy()  # not s itself: editing the returned x must not move the carried block
-    if rest:
-        work[:, :T] = 0.0
-        work[:, :rest] = pending
-        work[:, T:] = s.view(float)
-        out[:, full * T :] = work @ readout
-        # the state after `rest` steps: inputs right-aligned against a^(T-1-i) b
+        out[:, k : k + T] = work @ readout
+        if k + T <= end:
+            s = s * powers[T] + (work[:, :T] @ inject).view(complex)
+    x = s
+    if rest:  # the state after `rest` steps: inputs right-aligned against a^(T-1-i) b
         aligned = np.zeros((channels, T))
-        aligned[:, T - rest :] = pending
+        aligned[:, T - rest :] = stream[:, end - rest : end]
         x = s * powers[rest] + (aligned @ inject).view(complex)
-
-    y = out[:, done : done + L]
-    final = RecurrentState(x=x if u.samples.ndim == 2 else x[0], _block_start=s, _pending=pending)
+    x.flags.writeable = False  # an edit in place would bypass the carry, so it raises
+    x = x if u.samples.ndim == 2 else x[0]
+    y = out[:, done:end]
+    final = RecurrentState(x, _ScanCarry(x, key, tables, s, stream[:, end - rest : end].copy()))
     return Signal(samples=y if u.samples.ndim == 2 else y[0]), final
 
 

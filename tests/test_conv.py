@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,34 @@ class TestBlockedScan:
         assert len(pieces) > 20
         np.testing.assert_array_equal(np.concatenate(pieces, axis=-1), whole.samples)
         np.testing.assert_array_equal(state.x, state_whole.x)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_replaced_x_starts_a_new_grid(self, channels):
+        rng = np.random.default_rng([36, channels])
+        spec, dt = random_stable_spec(rng)
+        disc = discretize(spec.A_half, spec.B_half, dt, "bilinear")
+        _, carried = recurrent_scan(disc, spec.C_half, Signal(signal_rows(rng, channels, 70)))
+        with pytest.raises(ValueError, match="read-only"):
+            carried.x[...] = 0.0
+        x = rng.standard_normal(carried.x.shape) + 1j * rng.standard_normal(carried.x.shape)
+        self.assert_matches_reference(
+            disc, spec.C_half, signal_rows(rng, channels, 100), dataclasses.replace(carried, x=x)
+        )
+        carried.x = x
+        self.assert_matches_reference(disc, spec.C_half, signal_rows(rng, channels, 100), carried)
+
+    def test_carried_state_into_another_system_starts_a_new_grid(self):
+        rng = np.random.default_rng(37)
+        spec, dt = random_stable_spec(rng)
+        disc = discretize(spec.A_half, spec.B_half, dt, "zoh")
+        _, carried = recurrent_scan(disc, spec.C_half, Signal(rng.standard_normal(70)))
+        other_C = rng.standard_normal(spec.n_half) + 1j * rng.standard_normal(spec.n_half)
+        for other_disc, C in (
+            (discretize(spec.A_half, spec.B_half, 2 * dt, "zoh"), spec.C_half),
+            (discretize(spec.A_half, spec.B_half, dt, "bilinear"), spec.C_half),
+            (disc, other_C),
+        ):
+            self.assert_matches_reference(other_disc, C, rng.standard_normal(100), carried)
 
     def test_carried_block_state_needs_same_channels(self):
         rng = np.random.default_rng(35)
