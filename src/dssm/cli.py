@@ -2,9 +2,12 @@
 probes, and the kernel chunk-schedule benchmark.
 
 The parsed argparse namespace is the only configuration object: every
-subcommand reads its flags from it.  argparse parses the comma-separated
-lists; `_resolve_config` only adds the SSM_SEED seed fallback, fills kernel
-flags left unset from the preset, and rejects softmax without ZOH.
+subcommand reads its flags from it and takes only the flags it reads, added
+per pipeline stage (init, params, disc, softmax; see `_build_parser`).
+argparse parses the comma-separated lists; `_resolve_config` only adds the
+SSM_SEED seed fallback, fills preset flags left unset, and rejects softmax
+without ZOH.  `build_system` is the one place that checks or draws dt and
+discretizes.
 
 CSV output carries '#'-prefixed metadata comments, then a column header, then
 rows with 17-significant-digit numbers (lossless double round-trip).  JSON
@@ -27,7 +30,7 @@ import tracemalloc
 import numpy as np
 
 from .conv import Signal, fft_causal_conv, recurrent_scan
-from .discretize import RULES, discretize
+from .discretize import RULES, DiscreteParams, discretize
 from .hippo import hippo_d_spectrum, make_hippo_legs, make_hippo_normal
 from .inits import (
     INIT_NAMES,
@@ -155,39 +158,43 @@ def _require_positive_finite(value: float, flag: str) -> float:
     return float(value)
 
 
-def build_spec(config: argparse.Namespace) -> tuple[DiagonalSpec, float]:
-    """Materialize the configured initialization, C, B, timescale, and the
-    real-part transform; returns the spec (with constrained A) and dt."""
+def build_spec(config: argparse.Namespace) -> DiagonalSpec:
+    """Materialize the configured initialization, C, B and the real-part
+    transform; returns the spec with constrained A."""
     spec = make_init(config.init, config.N, seed=config.seed)
     spec.C_half = init_C(spec.n_half, config.seed + 1)
-    if config.dt is not None:
-        dt = _require_positive_finite(config.dt, "--dt")
-    else:
-        dt_min = _require_positive_finite(config.dt_min, "--dt-min")
-        dt_max = _require_positive_finite(config.dt_max, "--dt-max")
-        dt = float(np.exp(init_log_dt(dt_min, dt_max, config.seed + 2)))
-    spec.log_dt = float(np.log(dt))
     if config.b_mode == "random":
         rng = np.random.default_rng(config.seed + 3)
         spec.B_half = spec.B_half + (
             rng.standard_normal(spec.n_half) + 1j * rng.standard_normal(spec.n_half)
         ) / np.sqrt(8.0)
     if config.re_mode != "identity":
-        if (spec.A_half.real >= 0).any() and config.re_mode == "exp":
-            raise UsageError(
-                f"init '{config.init}' has nonnegative real parts; use --re-mode relu or identity"
-            )
         param = RealPartParam.from_real_parts(spec.A_half.real, mode=config.re_mode)
         spec.A_half = param.apply(spec.A_half)
-    return spec, dt
+    return spec
 
 
-def build_kernel(config: argparse.Namespace) -> Kernel:
-    spec, dt = build_spec(config)
-    disc = discretize(spec.A_half, spec.B_half, dt, config.disc)
+def build_system(config: argparse.Namespace) -> tuple[DiagonalSpec, DiscreteParams]:
+    """The configured spec and its discretization: the one place the CLI
+    checks or draws dt and discretizes."""
+    spec = build_spec(config)
+    if config.dt is not None:
+        dt = _require_positive_finite(config.dt, "--dt")
+    else:
+        dt_min = _require_positive_finite(config.dt_min, "--dt-min")
+        dt_max = _require_positive_finite(config.dt_max, "--dt-max")
+        dt = float(np.exp(init_log_dt(dt_min, dt_max, config.seed + 2)))
+    return spec, discretize(spec.A_half, spec.B_half, dt, config.disc)
+
+
+def _system_kernel(config: argparse.Namespace, spec: DiagonalSpec, disc: DiscreteParams) -> Kernel:
     if config.softmax:
         return dss_softmax_kernel(spec, disc, config.L)
     return vandermonde_kernel(spec, disc, config.L)
+
+
+def build_kernel(config: argparse.Namespace) -> Kernel:
+    return _system_kernel(config, *build_system(config))
 
 
 def _kernel_meta(config: argparse.Namespace, kernel: Kernel) -> dict:
@@ -224,7 +231,7 @@ def cmd_basis(config: argparse.Namespace) -> int:
         t = np.linspace(0.0, config.t_max, config.points)
         _require_finite(t, "basis time grid")
         if dense is None:
-            table = sample_basis(build_spec(config)[0], t)
+            table = sample_basis(build_spec(config), t)
         elif dense == "legs":
             table = sample_basis(make_hippo_legs(config.N)[0], t)
         elif dense == "normal":
@@ -272,26 +279,21 @@ def cmd_spectrum(config: argparse.Namespace) -> int:
 def cmd_conv(config: argparse.Namespace) -> int:
     samples = read_signal_csv(config.input)
     config.L = len(samples)
-    spec, dt = build_spec(config)
     signal = Signal(samples=samples)
     with np.errstate(over="ignore", invalid="ignore"):  # see cmd_kernel
-        disc = discretize(spec.A_half, spec.B_half, dt, config.disc)
+        spec, disc = build_system(config)
         if config.mode == "fft":
-            if config.softmax:
-                kernel = dss_softmax_kernel(spec, disc, config.L)
-            else:
-                kernel = vandermonde_kernel(spec, disc, config.L)
-            out = fft_causal_conv(signal, kernel)
+            out = fft_causal_conv(signal, _system_kernel(config, spec, disc))
+        elif config.softmax:
+            raise UsageError("softmax normalization has no recurrent form; use --mode fft")
         else:
-            if config.softmax:
-                raise UsageError("softmax normalization has no recurrent form; use --mode fft")
             out, _ = recurrent_scan(disc, spec.C_half, signal, conj_pairs=spec.conj_pairs)
     _require_finite(out.samples, "conv output")
     meta = {
         "init": config.init,
         "rule": config.disc,
         "N": config.N,
-        "dt": _fmt(dt),
+        "dt": _fmt(disc.dt),
         "L": config.L,
         "seed": config.seed,
         "mode": config.mode,
@@ -495,8 +497,7 @@ def _bench_cell(config: argparse.Namespace, N: int, L: int):
     # the bench always times the plain Vandermonde kernel
     cell = argparse.Namespace(**(vars(config) | {"N": N, "L": L, "softmax": False}))
     with np.errstate(over="ignore", invalid="ignore"):  # see cmd_kernel
-        spec, dt = build_spec(cell)
-        disc = discretize(spec.A_half, spec.B_half, dt, cell.disc)
+        spec, disc = build_system(cell)
 
     def run(fn):
         best = float("inf")
@@ -579,45 +580,57 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, with_kernel_flags=True):
+    # each pipeline stage's flags, added per subcommand (argparse `parents=`
+    # would share Action objects, so one subcommand's set_defaults would leak)
+    def add_common(p):
         p.add_argument("--seed", type=int, default=None, help="default from SSM_SEED, else 0")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        if with_kernel_flags:
-            p.add_argument("--init", choices=INIT_NAMES, default="legsd")
-            p.add_argument("--N", type=int, default=64)
-            p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-            p.add_argument("--disc", choices=RULES, default=None)
-            p.add_argument("--re-mode", choices=("exp", "relu", "identity"), default=None)
-            p.add_argument("--b", choices=("ones", "random"), default=None, dest="b_mode")
-            p.add_argument("--softmax", action="store_true", default=None)
-            p.add_argument("--no-softmax", action="store_false", dest="softmax")
-            p.add_argument("--dt", type=float, default=None)
-            p.add_argument("--dt-min", type=float, default=1e-3)
-            p.add_argument("--dt-max", type=float, default=1e-1)
 
-    p_kernel = sub.add_parser("kernel", help="emit a convolution kernel as CSV")
-    add_common(p_kernel)
+    def add_init(p):
+        p.add_argument("--init", choices=INIT_NAMES, default="legsd")
+        p.add_argument("--N", type=int, default=64)
+
+    def add_params(p):
+        p.add_argument("--preset", choices=sorted(PRESETS), default=None)
+        p.add_argument("--re-mode", choices=("exp", "relu", "identity"), default=None)
+        p.add_argument("--b", choices=("ones", "random"), default=None, dest="b_mode")
+
+    def add_disc(p):
+        p.add_argument("--disc", choices=RULES, default=None)
+        p.add_argument("--dt", type=float, default=None)
+        p.add_argument("--dt-min", type=float, default=1e-3)
+        p.add_argument("--dt-max", type=float, default=1e-1)
+
+    def add_softmax(p):
+        p.add_argument("--softmax", action="store_true", default=None)
+        p.add_argument("--no-softmax", action="store_false", dest="softmax")
+
+    def add_subcommand(name, help, *stages):
+        # no prefix matching: `bench --N 64` must not be read as `--N-grid 64`
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for add in (add_common, *stages):
+            add(p)
+        return p
+
+    kernel_stages = (add_init, add_params, add_disc, add_softmax)
+    p_kernel = add_subcommand("kernel", "emit a convolution kernel as CSV", *kernel_stages)
     p_kernel.add_argument("--L", type=int, default=1024)
 
-    p_basis = sub.add_parser("basis", help="emit basis function samples as CSV")
-    add_common(p_basis)
+    p_basis = add_subcommand("basis", "emit basis function samples as CSV", add_init, add_params)
     p_basis.add_argument("--dense", choices=("legs", "normal", "normal-unscaled"), default=None)
     p_basis.add_argument("--t-max", type=float, default=3.0)
     p_basis.add_argument("--points", type=int, default=512)
     p_basis.add_argument("--rows", type=int, default=8, help="0 means all rows")
 
-    p_spec = sub.add_parser("spectrum", help="emit half-spectra as CSV or JSON")
-    add_common(p_spec)
+    p_spec = add_subcommand("spectrum", "emit half-spectra as CSV or JSON", add_init)
     p_spec.add_argument("--all", action="store_true", help="emit the comparison families")
     p_spec.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
 
-    p_conv = sub.add_parser("conv", help="convolve a CSV signal with a kernel")
-    add_common(p_conv)
+    p_conv = add_subcommand("conv", "convolve a CSV signal with a kernel", *kernel_stages)
     p_conv.add_argument("--input", required=True, help="input CSV with l,value rows")
     p_conv.add_argument("--mode", choices=("fft", "scan"), default="fft")
 
-    p_verify = sub.add_parser("verify", help="run verification probes, emit JSON")
-    add_common(p_verify, with_kernel_flags=False)
+    p_verify = add_subcommand("verify", "run verification probes, emit JSON")
     p_verify.add_argument("--probe", type=_comma_list(str), default=",".join(PROBES),
                           help="comma-separated probe names")
     p_verify.add_argument("--N-list", type=_comma_list(int), default="2,16,64,256",
@@ -626,12 +639,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="state sizes for the convergence probe")
     p_verify.add_argument("--points", type=int, default=256)
 
-    p_bench = sub.add_parser("bench", help="benchmark kernel variants, emit JSON")
-    add_common(p_bench)
-    # kernel-product timing should not be dominated by spectrum construction,
-    # and kernel timings depend on dt (subnormal tails), so dt defaults to a
-    # fixed step rather than a seeded draw
-    p_bench.set_defaults(init="lin", dt=1e-2)
+    # the grid sets N and the bench always times the plain kernel, so it has
+    # no --N and no softmax flags.  Kernel-product timing should not be
+    # dominated by spectrum construction, and kernel timings depend on dt
+    # (subnormal tails), so init and dt default to lin and a fixed step
+    p_bench = add_subcommand("bench", "benchmark kernel variants, emit JSON", add_params, add_disc)
+    p_bench.add_argument("--init", choices=INIT_NAMES, default="lin")
+    p_bench.set_defaults(dt=1e-2)
     p_bench.add_argument("--N-grid", type=_comma_list(int), default="64,256,1024")
     p_bench.add_argument("--L-grid", type=_comma_list(int), default="1024,16384")
     p_bench.add_argument("--repeats", type=int, default=3)
@@ -641,8 +655,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """Complete the parsed arguments where argparse cannot: the seed falls back
-    to SSM_SEED, and kernel flags left unset come from the preset (s4d when
-    none is given).  Softmax without ZOH is a usage error."""
+    to SSM_SEED, and each preset-covered flag that the subcommand has and that
+    was left unset comes from the preset (s4d when none is given).  Where
+    --softmax exists, softmax without ZOH is a usage error."""
     if args.seed is None:
         env = os.environ.get("SSM_SEED")
         try:
@@ -651,13 +666,13 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
             raise UsageError(f"SSM_SEED must be an integer, got {env!r}") from exc
     if hasattr(args, "preset"):
         for key, value in PRESETS[args.preset or "s4d"].items():
-            if getattr(args, key) is None:
+            if getattr(args, key, value) is None:
                 setattr(args, key, value)
-        if args.softmax and args.disc != "zoh":
-            raise UsageError(
-                "softmax normalization requires --disc zoh (the DSS parameterization "
-                "pairs softmax with zero-order hold); bilinear is incompatible"
-            )
+    if getattr(args, "softmax", False) and args.disc != "zoh":
+        raise UsageError(
+            "softmax normalization requires --disc zoh (the DSS parameterization "
+            "pairs softmax with zero-order hold); bilinear is incompatible"
+        )
     return args
 
 

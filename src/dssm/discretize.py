@@ -6,6 +6,7 @@ with partial pivoting and the matrix exponential is scaling-and-squaring with
 a Taylor core, so the module has no external linear-algebra dependency.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,11 @@ def dense_matrix_exp(M: np.ndarray) -> np.ndarray:
     norm = float(np.abs(M).sum(axis=0).max()) if n else 0.0
     if not np.isfinite(norm):
         raise ValueError("matrix exponential of a non-finite matrix")
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    A = M.astype(dtype) / (2.0**squarings)
+    # the fewest squarings s with norm / 2^s <= 0.5, from the exponent of norm:
+    # log2(norm / 0.5) and 2.0**s overflow for norms above 2^1022
+    mantissa, exponent = math.frexp(norm)
+    squarings = exponent + (mantissa > 0.5) if norm > 0.5 else 0
+    A = M.astype(dtype) * 0.5**squarings
     E = np.eye(n, dtype=dtype)
     term = np.eye(n, dtype=dtype)
     for k in range(1, 60):

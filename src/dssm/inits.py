@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass
 class DiagonalSpec:
-    """Diagonal SSM parameters (A, B, C, log timescale) in half-spectrum form.
+    """Diagonal SSM parameters (A, B, C) in half-spectrum form.
 
     conj_pairs=True means each stored eigenvalue implicitly carries its
     conjugate, so kernels take twice the real part of the half sum.  The
@@ -43,7 +43,6 @@ class DiagonalSpec:
     A_half: np.ndarray
     B_half: np.ndarray
     C_half: np.ndarray | None = None
-    log_dt: float | None = None
     N: int = 0
     name: str = ""
     conj_pairs: bool = True
@@ -222,7 +221,6 @@ def init_random_real(spec: DiagonalSpec, seed: int) -> DiagonalSpec:
         A_half=re + 1j * spec.A_half.imag,
         B_half=spec.B_half.copy(),
         C_half=None if spec.C_half is None else spec.C_half.copy(),
-        log_dt=spec.log_dt,
         N=spec.N,
         name=f"{spec.name}-rreal" if spec.name else "rreal",
         conj_pairs=spec.conj_pairs,

@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 
 from dssm.cli import main, read_signal_csv
+from dssm.inits import INIT_NAMES
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_csv_text(text):
+    """The rows of a CSV after its '#' metadata, as lists of fields."""
+    return [line.split(",") for line in text.splitlines() if not line.startswith("#")]
 
 
 class TestKernelCommand:
@@ -166,12 +172,30 @@ class TestKernelCommand:
         assert main(base + ["--seed", "78", "-o", str(c)]) == 0
         assert a.read_bytes() != c.read_bytes()
 
+    def test_non_integer_env_seed_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("SSM_SEED", "abc")
+        code, out, err = run(["kernel", "--init", "lin", "--N", "8", "--L", "4", "--dt", "0.01"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: SSM_SEED must be an integer, got 'abc'" in err
+
+    @pytest.mark.parametrize("init", INIT_NAMES)
+    def test_relu_real_part_equals_identity_on_negative_real_parts(self, capsys, init):
+        # every built-in init has negative real parts, where -max(-re, 0) is re exactly
+        base = ["kernel", "--init", init, "--N", "8", "--L", "16", "--dt", "0.01", "--seed", "5"]
+        outputs = [run(base + ["--re-mode", mode], capsys) for mode in ("relu", "identity")]
+        assert [code for code, _, _ in outputs] == [0, 0]
+        relu, identity = (read_csv_text(out) for _, out, _ in outputs)
+        assert relu[0] == ["l", "value"]
+        assert relu == identity
+
 
 class TestBasisCommand:
     def test_diagonal_family(self, tmp_path):
         out = tmp_path / "basis.csv"
         assert main(["basis", "--init", "lin", "--N", "8", "--points", "16",
-                     "--dt", "0.01", "-o", str(out)]) == 0
+                     "-o", str(out)]) == 0
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert rows[0] == "n,t,re,im"
         assert len(rows) - 1 == 4 * 16
@@ -191,7 +215,7 @@ class TestBasisCommand:
 
     def test_single_point_grid(self, capsys):
         code, out, _ = run(["basis", "--init", "lin", "--N", "4", "--points", "1",
-                            "--rows", "0", "--dt", "0.01"], capsys)
+                            "--rows", "0"], capsys)
         assert code == 0
         data_rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
         assert len(data_rows) == 2
@@ -426,6 +450,18 @@ class TestVerifyCommand:
         assert out == ""
         assert calls == []
 
+    def test_conjecture_and_perturbation_probes_pass(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--probe", "conjecture,perturbation", "-o", str(out)]) == 0
+        conjecture, perturbation = json.loads(out.read_text())
+        assert conjecture["probe"] == "conjecture-asymptotics"
+        assert set(conjecture["metrics"]) == {
+            "max_imag", "c_estimate", "band_ratio", "max_real_deviation"
+        }
+        assert perturbation["probe"] == "rank1-perturbation"
+        assert set(perturbation["metrics"]) == {"baseline", "divergence"}
+        assert conjecture["pass"] is True and perturbation["pass"] is True
+
     def test_proposition_probe(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["verify", "--probe", "proposition", "--N-list", "2,16,64", "-o", str(out)])
@@ -496,6 +532,24 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as excinfo:
             main(["kernel", "--init", "fourier"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--N", "8", "--dt", "0.01"],
+            ["spectrum", "--N", "8", "--preset", "dss"],
+            ["basis", "--init", "lin", "--N", "8", "--softmax"],
+            ["basis", "--init", "lin", "--N", "8", "--dt", "0.01"],
+            ["bench", "--N-grid", "16,64", "--L-grid", "256,1024", "--N", "64"],
+        ],
+        ids=["spectrum-dt", "spectrum-preset", "basis-softmax", "basis-dt", "bench-N"],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        _, err = capsys.readouterr()
+        assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,15 @@ class TestDenseMatrixExp:
         ours = dense_matrix_exp(M)
         reference = taylor_exp_oracle(M, terms=40, squarings=9)
         np.testing.assert_allclose(ours, reference.real, rtol=1e-9, atol=1e-9 * np.abs(ours).max())
+
+    @pytest.mark.parametrize("scale", [2.0**1022 * 1.5, 1e308])
+    def test_finite_norm_above_two_to_the_1022(self, scale):
+        # log2(norm / 0.5) and 2.0**squarings overflow here; exp of a stable
+        # diagonal at this scale underflows to zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = dense_matrix_exp(np.diag([-scale, -scale / 3]))
+        np.testing.assert_array_equal(E, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_matrix_is_rejected(self, bad):

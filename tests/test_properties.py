@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from dssm.cli import _csv_text, main, read_signal_csv
 from dssm.conv import Signal, fft_causal_conv, recurrent_scan
 from dssm.discretize import RULES, discretize
+from dssm.inits import INIT_NAMES
 from dssm.kernel import STREAM_CHUNK, vandermonde_kernel
 from dssm.oracle import random_stable_spec
 
@@ -113,8 +114,9 @@ def test_csv_round_trip_is_lossless(values):
     np.testing.assert_array_equal(parsed.view(np.int64), np.asarray(values).view(np.int64))
 
 
-# edge timesteps: nan, infinities, negative, zero, subnormal, tiny, huge
-edge_dt = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "5e-324", "1e-300", "1e308"])
+# edge timesteps and time spans: nan, infinities, negative, zero, subnormal,
+# tiny, huge
+edge_values = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "5e-324", "1e-300", "1e308"])
 BLOCK_EDGE_LENGTHS = (1, 63, 64, 65)  # around the scan's 64-step block
 
 
@@ -129,33 +131,48 @@ def run_cli(argv):
 
 
 def csv_values(text):
-    """Every field after the header row of a CSV, as floats."""
+    """Every numeric field after the header row of a CSV, as floats (the
+    init-name column of a spectrum CSV is skipped)."""
     rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
-    return np.array([float(field) for row in rows for field in row.split(",")])
+    return np.array(
+        [float(field) for row in rows for field in row.split(",") if field not in INIT_NAMES]
+    )
 
 
-@settings(deterministic, max_examples=100)
+@settings(deterministic, max_examples=200)
 @given(
-    command=st.sampled_from(["kernel", "scan", "fft"]),
-    dt=edge_dt,
+    command=st.sampled_from(["kernel", "scan", "fft", "basis", "spectrum"]),
+    value=edge_values,
+    timescale=st.sampled_from(["--dt", "--dt-min", "--dt-max"]),
     L=st.sampled_from(BLOCK_EDGE_LENGTHS),
-    N=st.sampled_from([1, 2, 8, 16]),
+    N=st.sampled_from([-3, 1, 2, 8, 16]),
     preset=st.sampled_from(["s4d", "s4d-zoh", "dss"]),
     init=st.sampled_from(["lin", "inv", "legsd"]),
+    points=st.integers(1, 65),
+    rows=st.sampled_from([0, 1, 8]),
+    dense=st.sampled_from([None, "legs", "normal", "normal-unscaled"]),
+    every=st.booleans(),
 )
-def test_cli_exits_cleanly_on_edge_inputs(command, dt, L, N, preset, init):
+def test_cli_exits_cleanly_on_edge_inputs(
+    command, value, timescale, L, N, preset, init, points, rows, dense, every
+):
+    kernel_flags = [f"{timescale}={value}", "--preset", preset, "--init", init]
     with tempfile.TemporaryDirectory() as directory:
-        if command == "kernel":
-            argv = ["kernel", "--L", str(L)]
+        if command == "spectrum":
+            argv = ["spectrum", "--all"] if every else ["spectrum", "--init", init]
+        elif command == "basis":
+            argv = ["basis", f"--t-max={value}", "--points", str(points), "--rows", str(rows),
+                    "--preset", preset, "--init", init]
+            argv += ["--dense", dense] if dense else []
+        elif command == "kernel":
+            argv = ["kernel", "--L", str(L), *kernel_flags]
         else:
             path = os.path.join(directory, "u.csv")
             values = np.random.default_rng(L).standard_normal(L)
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(_csv_text({}, ["l", "value"], "%d,%.17g\n", enumerate(values)))
-            argv = ["conv", "--input", path, "--mode", command]
-        code, out, err = run_cli(
-            argv + [f"--dt={dt}", "--N", str(N), "--preset", preset, "--init", init]
-        )
+            argv = ["conv", "--input", path, "--mode", command, *kernel_flags]
+        code, out, err = run_cli(argv + ["--N", str(N)])
     assert code in (0, 2)
     if code == 0:
         assert np.isfinite(csv_values(out)).all()

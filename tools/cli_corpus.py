@@ -83,6 +83,12 @@ def _corpus() -> list[tuple[dict, list[str]]]:
         (plain, ["bench", "--N-grid", "64", "--L-grid", "1024", "--repeats", "1"]),
         (plain, ["basis", "--dense", "legs", "--N", "8", "--t-max", "1e308", "--points", "3"]),
         (plain, ["basis", "--init", "lin", "--N", "8", "--t-max", "inf", "--points", "3"]),
+        # a flag the subcommand does not read
+        (plain, ["spectrum", "--N", "8", "--dt", "0.01"]),
+        (plain, ["spectrum", "--N", "8", "--preset", "dss"]),
+        (plain, ["basis", "--init", "lin", "--N", "8", "--softmax"]),
+        (plain, ["basis", "--init", "lin", "--N", "8", "--dt", "0.01"]),
+        (plain, ["bench", "--N-grid", "16,64", "--L-grid", "256,1024", "--N", "64"]),
     ]
     return runs
 
