@@ -3,11 +3,11 @@ probes, and the kernel chunk-schedule benchmark.
 
 The parsed argparse namespace is the only configuration object: every
 subcommand reads its flags from it and takes only the flags it reads, added
-per pipeline stage (init, params, disc, softmax; see `_build_parser`).
-argparse parses the comma-separated lists; `_resolve_config` only adds the
-SSM_SEED seed fallback, fills preset flags left unset, and rejects softmax
-without ZOH.  `build_system` is the one place that checks or draws dt and
-discretizes.
+per pipeline stage (init, params, disc, dt range, softmax; see
+`_build_parser`).  argparse parses the comma-separated lists;
+`_resolve_config` only adds the SSM_SEED seed fallback, fills preset flags
+left unset, and rejects softmax without ZOH.  `build_system` is the one place
+that checks or draws dt and discretizes.
 
 CSV output carries '#'-prefixed metadata comments, then a column header, then
 rows with 17-significant-digit numbers (lossless double round-trip).  JSON
@@ -598,6 +598,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_disc(p):
         p.add_argument("--disc", choices=RULES, default=None)
         p.add_argument("--dt", type=float, default=None)
+
+    def add_dt_range(p):  # the range dt is drawn from when --dt is not given
         p.add_argument("--dt-min", type=float, default=1e-3)
         p.add_argument("--dt-max", type=float, default=1e-1)
 
@@ -612,7 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
             add(p)
         return p
 
-    kernel_stages = (add_init, add_params, add_disc, add_softmax)
+    kernel_stages = (add_init, add_params, add_disc, add_dt_range, add_softmax)
     p_kernel = add_subcommand("kernel", "emit a convolution kernel as CSV", *kernel_stages)
     p_kernel.add_argument("--L", type=int, default=1024)
 
@@ -642,7 +644,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # the grid sets N and the bench always times the plain kernel, so it has
     # no --N and no softmax flags.  Kernel-product timing should not be
     # dominated by spectrum construction, and kernel timings depend on dt
-    # (subnormal tails), so init and dt default to lin and a fixed step
+    # (subnormal tails), so init and dt default to lin and a fixed step; dt
+    # is never drawn, so there is no dt range either
     p_bench = add_subcommand("bench", "benchmark kernel variants, emit JSON", add_params, add_disc)
     p_bench.add_argument("--init", choices=INIT_NAMES, default="lin")
     p_bench.set_defaults(dt=1e-2)

@@ -541,8 +541,10 @@ class TestArgparseBehavior:
             ["basis", "--init", "lin", "--N", "8", "--softmax"],
             ["basis", "--init", "lin", "--N", "8", "--dt", "0.01"],
             ["bench", "--N-grid", "16,64", "--L-grid", "256,1024", "--N", "64"],
+            ["bench", "--N-grid", "16,64", "--L-grid", "256,1024", "--dt-min", "0.01"],
         ],
-        ids=["spectrum-dt", "spectrum-preset", "basis-softmax", "basis-dt", "bench-N"],
+        ids=["spectrum-dt", "spectrum-preset", "basis-softmax", "basis-dt", "bench-N",
+             "bench-dt-min"],
     )
     def test_flag_the_subcommand_does_not_read_exits_two(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:

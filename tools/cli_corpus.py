@@ -89,6 +89,7 @@ def _corpus() -> list[tuple[dict, list[str]]]:
         (plain, ["basis", "--init", "lin", "--N", "8", "--softmax"]),
         (plain, ["basis", "--init", "lin", "--N", "8", "--dt", "0.01"]),
         (plain, ["bench", "--N-grid", "16,64", "--L-grid", "256,1024", "--N", "64"]),
+        (plain, ["bench", "--N-grid", "16,64", "--L-grid", "256,1024", "--dt-min", "0.01"]),
     ]
     return runs
 
