@@ -5,9 +5,10 @@ The parsed argparse namespace is the only configuration object: every
 subcommand reads its flags from it and takes only the flags it reads, added
 per pipeline stage (init, params, disc, dt range, softmax; see
 `_build_parser`).  argparse parses the comma-separated lists;
-`_resolve_config` only adds the SSM_SEED seed fallback, fills preset flags
-left unset, and rejects softmax without ZOH.  `build_system` is the one place
-that checks or draws dt and discretizes.
+`_resolve_config` rejects a flag of a stage that a given selection replaces
+(`_REPLACES`), adds the SSM_SEED seed fallback, fills preset flags and the
+`--init` and dt range defaults left unset, and rejects softmax without ZOH.
+`build_system` is the one place that checks or draws dt and discretizes.
 
 CSV output carries '#'-prefixed metadata comments, then a column header, then
 rows with 17-significant-digit numbers (lossless double round-trip).  JSON
@@ -463,7 +464,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
     if unknown:
         names = ", ".join(repr(name) for name in unknown)
         raise UsageError(f"unknown probe {names} (choose from {PROBES})")
-    if len(config.theorem_N) < 2:
+    if "theorem" in config.probe and len(config.theorem_N) < 2:
         # the theorem probe passes on a strict decrease, which one size cannot show
         raise UsageError(f"--theorem-N needs at least two state sizes, got {config.theorem_N}")
     if "conjecture" in config.probe and max(config.N_list) < oracle.CONJECTURE_MIN_N:
@@ -587,7 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
     def add_init(p):
-        p.add_argument("--init", choices=INIT_NAMES, default="legsd")
+        p.add_argument("--init", choices=INIT_NAMES, default=None)
         p.add_argument("--N", type=int, default=64)
 
     def add_params(p):
@@ -600,8 +601,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=float, default=None)
 
     def add_dt_range(p):  # the range dt is drawn from when --dt is not given
-        p.add_argument("--dt-min", type=float, default=1e-3)
-        p.add_argument("--dt-max", type=float, default=1e-1)
+        p.add_argument("--dt-min", type=float, default=None)
+        p.add_argument("--dt-max", type=float, default=None)
 
     def add_softmax(p):
         p.add_argument("--softmax", action="store_true", default=None)
@@ -625,7 +626,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_basis.add_argument("--rows", type=int, default=8, help="0 means all rows")
 
     p_spec = add_subcommand("spectrum", "emit half-spectra as CSV or JSON", add_init)
-    p_spec.add_argument("--all", action="store_true", help="emit the comparison families")
+    p_spec.add_argument("--all", action="store_true", default=None,
+                        help="emit the comparison families")
     p_spec.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
 
     p_conv = add_subcommand("conv", "convolve a CSV signal with a kernel", *kernel_stages)
@@ -656,21 +658,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each selection that replaces a stage (None when unset), and the (flag,
+# attribute) pairs of that stage, which must then stay unset: --all emits
+# every family, --dense builds its own system, --dt fixes the drawn step.
+_REPLACES = {
+    "all": (("--init", "init"),),
+    "dense": (("--init", "init"), ("--preset", "preset"), ("--re-mode", "re_mode"),
+              ("--b", "b_mode")),
+    "dt": (("--dt-min", "dt_min"), ("--dt-max", "dt_max")),
+}
+
+
 def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Complete the parsed arguments where argparse cannot: the seed falls back
-    to SSM_SEED, and each preset-covered flag that the subcommand has and that
-    was left unset comes from the preset (s4d when none is given).  Where
+    """Complete the parsed arguments where argparse cannot.  A flag of a stage
+    that a given selection replaces (`_REPLACES`) is a usage error.  The seed
+    falls back to SSM_SEED; each preset-covered flag that the subcommand has
+    and that was left unset comes from the preset (s4d when none is given),
+    and --init and the dt range left unset take legsd and 1e-3..1e-1.  Where
     --softmax exists, softmax without ZOH is a usage error."""
+    for name, stage in _REPLACES.items():
+        given = [flag for flag, key in stage if getattr(args, key, None) is not None]
+        if given and getattr(args, name, None) is not None:  # `--dt 0` is given too
+            replaced = ", ".join(flag for flag, _ in stage)
+            raise UsageError(f"--{name} replaces {replaced}; drop {', '.join(given)}")
     if args.seed is None:
         env = os.environ.get("SSM_SEED")
         try:
             args.seed = int(env) if env else 0
         except ValueError as exc:
             raise UsageError(f"SSM_SEED must be an integer, got {env!r}") from exc
-    if hasattr(args, "preset"):
-        for key, value in PRESETS[args.preset or "s4d"].items():
-            if getattr(args, key, value) is None:
-                setattr(args, key, value)
+    # --init and the dt range default to None so that a replaced one shows as given
+    defaults = PRESETS[getattr(args, "preset", None) or "s4d"] | {
+        "init": "legsd", "dt_min": 1e-3, "dt_max": 1e-1}
+    for key, value in defaults.items():
+        if getattr(args, key, value) is None:  # absent flags are skipped
+            setattr(args, key, value)
     if getattr(args, "softmax", False) and args.disc != "zoh":
         raise UsageError(
             "softmax normalization requires --disc zoh (the DSS parameterization "

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "DenseSpec",
-    "LowRankFactor",
     "Spectrum",
     "make_hippo_legs",
     "make_hippo_normal",
@@ -52,26 +51,20 @@ class DenseSpec:
 
 
 @dataclass
-class LowRankFactor:
-    """Rank-1 correction vector P, so that A + P P^T is normal for LegS."""
-
-    P: np.ndarray
-
-
-@dataclass
 class Spectrum:
-    """Eigenvalue list, flagged when sorted by descending imaginary part."""
+    """Eigenvalue list in descending order: by imaginary part from
+    `hippo_d_spectrum`, by (real) value from `hermitian_eigendecompose`."""
 
     eigenvalues: np.ndarray
-    sorted: bool = True
 
 
-def make_hippo_legs(N: int) -> tuple[DenseSpec, LowRankFactor]:
-    """Build the HiPPO-LegS system matrices.
+def make_hippo_legs(N: int) -> tuple[DenseSpec, np.ndarray]:
+    """Build the HiPPO-LegS system matrices and the rank-1 correction P, so
+    that A + P P^T is normal.
 
     A is lower triangular with A[n, k] = -sqrt((2n+1)(2k+1)) below the
-    diagonal and A[n, n] = -(n+1); B[n] = sqrt(2n+1); the low-rank factor is
-    P[n] = sqrt(n + 1/2).  C is left unset.
+    diagonal and A[n, n] = -(n+1); B[n] = sqrt(2n+1); P[n] = sqrt(n + 1/2).
+    C is left unset.
     """
     if N < 1:
         raise ValueError("state size must be >= 1")
@@ -80,7 +73,7 @@ def make_hippo_legs(N: int) -> tuple[DenseSpec, LowRankFactor]:
     A = -np.tril(np.outer(root, root), -1) - np.diag(n + 1.0)
     B = root.copy()
     P = np.sqrt(n + 0.5)
-    return DenseSpec(A=A, B=B, C=None, N=N), LowRankFactor(P=P)
+    return DenseSpec(A=A, B=B, C=None, N=N), P
 
 
 def make_hippo_normal(N: int) -> DenseSpec:
@@ -90,8 +83,8 @@ def make_hippo_normal(N: int) -> DenseSpec:
     that A_normal + A_normal^T = -I and the original LegS matrix is recovered
     entrywise as A_normal - P P^T.
     """
-    legs, low_rank = make_hippo_legs(N)
-    A_normal = legs.A + np.outer(low_rank.P, low_rank.P)
+    legs, P = make_hippo_legs(N)
+    A_normal = legs.A + np.outer(P, P)
     return DenseSpec(A=A_normal, B=legs.B.copy(), C=None, N=N)
 
 

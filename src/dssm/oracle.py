@@ -34,6 +34,9 @@ __all__ = [
 
 ORACLE_MAX_N = 4096
 
+# Trapezoid substeps per grid interval in `smoothed_normal_basis`.
+_REFINE = 4
+
 # Below this N the conjecture band (middle half of n * Im_n) is empty or holds n = 0.
 CONJECTURE_MIN_N = 8
 
@@ -42,7 +45,6 @@ CONJECTURE_MIN_N = 8
 class ConvergenceReport:
     """Sup-norm errors of the normal-variant basis against the closed form."""
 
-    N_values: list[int]
     errors: list[float]
     monotone: bool
 
@@ -56,7 +58,6 @@ class ConjectureReport:
     the deficit ``N^2/pi - max_imag = -c_estimate``.
     """
 
-    N: int
     max_imag: float
     c_estimate: float
     band_ratio: float
@@ -175,13 +176,13 @@ def legendre_orthonormality_defect(n_max: int = 10) -> float:
     return float(np.abs(gram - np.eye(n_max + 1)).max())
 
 
-def smoothed_normal_basis(N: int, t_grid: np.ndarray, refine: int = 4) -> BasisTable:
+def smoothed_normal_basis(N: int, t_grid: np.ndarray) -> BasisTable:
     """Basis of the normal LegS variant with input map B/2, numerically
     realized through trapezoid (bilinear) integration.
 
-    The grid must be uniform.  The integrator runs at `refine` internal
-    substeps per grid interval and records every refine-th state, normalized
-    by the step so values are on the continuous scale.  The bilinear input
+    The grid must be uniform.  The integrator takes _REFINE substeps h per
+    grid interval and records every _REFINE-th state, normalized by h so
+    values are on the continuous scale.  The bilinear input
     map weights each mode by ~1/(1 - h*lambda/2), which damps the huge
     imaginary frequencies (up to ~N^2/pi); that damping is what makes the
     limit visible pointwise, since the exact basis only converges in the
@@ -196,10 +197,10 @@ def smoothed_normal_basis(N: int, t_grid: np.ndarray, refine: int = 4) -> BasisT
         raise ValueError("t_grid must be uniformly spaced")
     if t[0] != 0.0:
         raise ValueError("grid must start at t=0")
-    h = spacing / refine
+    h = spacing / _REFINE
     normal = make_hippo_normal(N)
     disc = discretize(normal.A, normal.B / 2.0, h, "bilinear")
-    values = _orbit(disc.A_bar, disc.B_bar / h, len(t), every=refine)
+    values = _orbit(disc.A_bar, disc.B_bar / h, len(t), every=_REFINE)
     return BasisTable(t_grid=t.copy(), values=values)
 
 
@@ -217,7 +218,7 @@ def theorem_legsd_convergence(
         gap = np.abs(table.values[: rows + 1] - reference).max()
         errors.append(float(gap))
     monotone = all(errors[i + 1] <= errors[i] for i in range(len(errors) - 1))
-    return ConvergenceReport(N_values=list(N_list), errors=errors, monotone=monotone)
+    return ConvergenceReport(errors=errors, monotone=monotone)
 
 
 def conjecture_probe(N: int) -> ConjectureReport:
@@ -245,7 +246,6 @@ def conjecture_probe(N: int) -> ConjectureReport:
     hi = 3 * len(positive) // 4
     middle = scaled[lo:hi]
     return ConjectureReport(
-        N=N,
         max_imag=max_imag,
         c_estimate=float(c_estimate),
         band_ratio=float(middle.max() / middle.min()),

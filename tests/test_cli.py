@@ -405,6 +405,12 @@ class TestVerifyCommand:
         assert all(r["pass"] is True for r in report)
         assert all(set(r) == {"probe", "params", "metrics", "pass"} for r in report)
 
+    def test_theorem_sizes_unchecked_when_theorem_not_selected(self, capsys):
+        code, out, err = run(["verify", "--probe", "legendre", "--theorem-N", "64"], capsys)
+        assert code == 0
+        assert err == ""
+        assert [r["probe"] for r in json.loads(out)] == ["legendre-orthonormality"]
+
     def test_single_theorem_size_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, _, err = run(["verify", "--probe", "theorem", "--theorem-N", "16",
@@ -569,3 +575,32 @@ class TestArgparseBehavior:
         assert excinfo.value.code == 2
         _, err = capsys.readouterr()
         assert "list" in err
+
+
+@pytest.mark.parametrize(
+    "argv, selection, flag",
+    [
+        (["spectrum", "--N", "8", "--all", "--init", "rand"], "--all", "--init"),
+        (["basis", "--N", "8", "--dense", "legs", "--init", "rand"], "--dense", "--init"),
+        (["basis", "--N", "8", "--dense", "legs", "--preset", "dss"], "--dense", "--preset"),
+        (["basis", "--N", "8", "--dense", "normal", "--re-mode", "relu"], "--dense", "--re-mode"),
+        (["basis", "--N", "8", "--dense", "normal-unscaled", "--b", "ones"], "--dense", "--b"),
+        (["kernel", "--init", "lin", "--N", "8", "--L", "4", "--dt", "0.01", "--dt-min", "nan"],
+         "--dt", "--dt-min"),
+        (["conv", "--init", "lin", "--N", "8", "--dt", "0", "--dt-max", "-5"], "--dt", "--dt-max"),
+    ],
+    ids=["all-init", "dense-init", "dense-preset", "dense-re-mode", "dense-b", "dt-dt-min",
+         "dt-dt-max"],
+)
+def test_flag_of_a_replaced_stage_exits_two(tmp_path, capsys, argv, selection, flag):
+    signal = tmp_path / "u.csv"
+    signal.write_text("l,value\n0,1.0\n1,0.5\n")
+    out = tmp_path / "out.csv"
+    if argv[0] == "conv":
+        argv = argv + ["--input", str(signal)]
+    code, stdout, err = run(argv + ["-o", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{selection} replaces" in err and flag in err
+    assert sorted(tmp_path.iterdir()) == [signal]

@@ -90,6 +90,14 @@ def _corpus() -> list[tuple[dict, list[str]]]:
         (plain, ["basis", "--init", "lin", "--N", "8", "--dt", "0.01"]),
         (plain, ["bench", "--N-grid", "16,64", "--L-grid", "256,1024", "--N", "64"]),
         (plain, ["bench", "--N-grid", "16,64", "--L-grid", "256,1024", "--dt-min", "0.01"]),
+        # a flag of a stage that a selection replaces
+        (plain, ["spectrum", "--all", "--N", "64", "--init", "rand"]),
+        (plain, ["basis", "--dense", "legs", "--N", "8", "--init", "rand", "--re-mode", "relu",
+                 "--b", "random", "--preset", "dss"]),
+        (plain, ["kernel", "--init", "lin", "--N", "8", "--L", "4", "--dt", "0.01",
+                 "--dt-min", "nan", "--dt-max", "-5"]),
+        (plain, ["conv", "--input", "u63.csv", "--init", "lin", "--N", "64", "--dt", "0.01",
+                 "--dt-min", "1e-3"]),
     ]
     return runs
 
