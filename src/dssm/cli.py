@@ -4,7 +4,9 @@ probes, and the kernel chunk-schedule benchmark.
 The parsed argparse namespace is the only configuration object: every
 subcommand reads its flags from it and takes only the flags it reads, added
 per pipeline stage (init, params, disc, dt range, softmax; see
-`_build_parser`).  argparse parses the comma-separated lists;
+`_build_parser`).  The verification probes run at fixed sizes, and `bench`
+fixes the real-part transform and B.  argparse parses the comma-separated
+lists;
 `_resolve_config` rejects a flag of a stage that a given selection replaces
 (`_REPLACES`), adds the SSM_SEED seed fallback, fills preset flags and the
 `--init` and dt range defaults left unset, and rejects softmax without ZOH.
@@ -169,9 +171,8 @@ def build_spec(config: argparse.Namespace) -> DiagonalSpec:
         spec.B_half = spec.B_half + (
             rng.standard_normal(spec.n_half) + 1j * rng.standard_normal(spec.n_half)
         ) / np.sqrt(8.0)
-    if config.re_mode != "identity":
-        param = RealPartParam.from_real_parts(spec.A_half.real, mode=config.re_mode)
-        spec.A_half = param.apply(spec.A_half)
+    param = RealPartParam.from_real_parts(spec.A_half.real, mode=config.re_mode)
+    spec.A_half = param.apply(spec.A_half)
     return spec
 
 
@@ -304,7 +305,7 @@ def cmd_conv(config: argparse.Namespace) -> int:
     return 0
 
 
-def _probe_proposition(n_values, tolerance=1e-8):
+def _probe_proposition(n_values=(2, 16, 64, 256), tolerance=1e-8):
     deviations = {}
     for N in n_values:
         values = hippo_d_spectrum(N).eigenvalues
@@ -318,7 +319,7 @@ def _probe_proposition(n_values, tolerance=1e-8):
     }
 
 
-def _probe_conjecture(N):
+def _probe_conjecture(N=256):
     report = oracle.conjecture_probe(N)
     # the stated band bounds the deficit N^2/pi - Im_max = -c_estimate
     ok = (
@@ -339,7 +340,7 @@ def _probe_conjecture(N):
     }
 
 
-def _probe_theorem(n_values, points):
+def _probe_theorem(n_values=(16, 64, 256), points=256):
     t = np.linspace(0.0, 3.0, points)
     report = oracle.theorem_legsd_convergence(list(n_values), t)
     strict = all(
@@ -446,9 +447,9 @@ def _probe_dss(seed):
 
 
 _PROBES = {
-    "proposition": lambda config: _probe_proposition(config.N_list),
-    "conjecture": lambda config: _probe_conjecture(max(config.N_list)),
-    "theorem": lambda config: _probe_theorem(config.theorem_N, config.points),
+    "proposition": lambda config: _probe_proposition(),
+    "conjecture": lambda config: _probe_conjecture(),
+    "theorem": lambda config: _probe_theorem(),
     "legendre": lambda config: _probe_legendre(),
     "duality": lambda config: _probe_duality(10, config.seed),
     "stability": lambda config: _probe_stability(10_000, config.seed),
@@ -464,14 +465,6 @@ def cmd_verify(config: argparse.Namespace) -> int:
     if unknown:
         names = ", ".join(repr(name) for name in unknown)
         raise UsageError(f"unknown probe {names} (choose from {PROBES})")
-    if "theorem" in config.probe and len(config.theorem_N) < 2:
-        # the theorem probe passes on a strict decrease, which one size cannot show
-        raise UsageError(f"--theorem-N needs at least two state sizes, got {config.theorem_N}")
-    if "conjecture" in config.probe and max(config.N_list) < oracle.CONJECTURE_MIN_N:
-        raise UsageError(
-            f"--N-list needs a state size of at least {oracle.CONJECTURE_MIN_N} for the "
-            f"conjecture probe, got {config.N_list}"
-        )
     reports = [_PROBES[name](config) for name in config.probe]
     _write_json(config.output, reports)
     return 0 if all(r["pass"] for r in reports) else 1
@@ -637,20 +630,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = add_subcommand("verify", "run verification probes, emit JSON")
     p_verify.add_argument("--probe", type=_comma_list(str), default=",".join(PROBES),
                           help="comma-separated probe names")
-    p_verify.add_argument("--N-list", type=_comma_list(int), default="2,16,64,256",
-                          help="state sizes for spectrum probes")
-    p_verify.add_argument("--theorem-N", type=_comma_list(int), default="16,64,256",
-                          help="state sizes for the convergence probe")
-    p_verify.add_argument("--points", type=int, default=256)
 
     # the grid sets N and the bench always times the plain kernel, so it has
     # no --N and no softmax flags.  Kernel-product timing should not be
     # dominated by spectrum construction, and kernel timings depend on dt
     # (subnormal tails), so init and dt default to lin and a fixed step; dt
-    # is never drawn, so there is no dt range either
-    p_bench = add_subcommand("bench", "benchmark kernel variants, emit JSON", add_params, add_disc)
+    # is never drawn, so there is no dt range either.  The real-part
+    # transform and B change only the mode values, not the chunk schedule or
+    # its memory, so they are fixed at the s4d values and there is no params
+    # stage
+    p_bench = add_subcommand("bench", "benchmark kernel variants, emit JSON", add_disc)
     p_bench.add_argument("--init", choices=INIT_NAMES, default="lin")
-    p_bench.set_defaults(dt=1e-2)
+    p_bench.set_defaults(dt=1e-2, re_mode="exp", b_mode="random")
     p_bench.add_argument("--N-grid", type=_comma_list(int), default="64,256,1024")
     p_bench.add_argument("--L-grid", type=_comma_list(int), default="1024,16384")
     p_bench.add_argument("--repeats", type=int, default=3)
@@ -660,11 +651,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Each selection that replaces a stage (None when unset), and the (flag,
 # attribute) pairs of that stage, which must then stay unset: --all emits
-# every family, --dense builds its own system, --dt fixes the drawn step.
+# every family and --dense builds its own system, neither of them seeded;
+# --dt fixes the drawn step.
 _REPLACES = {
-    "all": (("--init", "init"),),
+    "all": (("--init", "init"), ("--seed", "seed")),
     "dense": (("--init", "init"), ("--preset", "preset"), ("--re-mode", "re_mode"),
-              ("--b", "b_mode")),
+              ("--b", "b_mode"), ("--seed", "seed")),
     "dt": (("--dt-min", "dt_min"), ("--dt-max", "dt_max")),
 }
 

@@ -70,6 +70,8 @@ def _corpus() -> list[tuple[dict, list[str]]]:
         (plain, ["basis", "--dense", "legs", "--N", "8", "--points", "1"]),  # pointwise path
         (plain, ["basis", "--dense", "legs", "--N", "12", "--points", "2", "--t-max", "0.5"]),
         (plain, ["verify"]),
+        # the probe sizes are fixed, so this line and the two --N-list lines below exit 2
+        # (unrecognized arguments); no input makes a probe fail, and no line exits 1
         (plain, ["verify", "--probe", "theorem", "--theorem-N", "64,64", "--points", "64"]),
         ({"SSM_SEED": "3"}, ["verify", "--probe", "duality,dss,stability"]),
         (plain, ["bench", "--repeats", "1"]),
@@ -90,6 +92,9 @@ def _corpus() -> list[tuple[dict, list[str]]]:
         (plain, ["basis", "--init", "lin", "--N", "8", "--dt", "0.01"]),
         (plain, ["bench", "--N-grid", "16,64", "--L-grid", "256,1024", "--N", "64"]),
         (plain, ["bench", "--N-grid", "16,64", "--L-grid", "256,1024", "--dt-min", "0.01"]),
+        (plain, ["bench", "--N-grid", "16,64", "--L-grid", "256,1024", "--preset", "dss"]),
+        (plain, ["verify", "--probe", "legendre", "--theorem-N", "64"]),
+        (plain, ["verify", "--points", "64"]),
         # a flag of a stage that a selection replaces
         (plain, ["spectrum", "--all", "--N", "64", "--init", "rand"]),
         (plain, ["basis", "--dense", "legs", "--N", "8", "--init", "rand", "--re-mode", "relu",
@@ -98,6 +103,8 @@ def _corpus() -> list[tuple[dict, list[str]]]:
                  "--dt-min", "nan", "--dt-max", "-5"]),
         (plain, ["conv", "--input", "u63.csv", "--init", "lin", "--N", "64", "--dt", "0.01",
                  "--dt-min", "1e-3"]),
+        (plain, ["spectrum", "--all", "--N", "8", "--seed", "3"]),
+        (plain, ["basis", "--dense", "legs", "--N", "8", "--seed", "3"]),
     ]
     return runs
 
