@@ -15,7 +15,8 @@ scan builds its own tables, so the kernel-vs-scan oracles stay independent.
 
 The FFT is a local power-of-two four-step transform (matmuls with a cached
 32-point DFT matrix and twiddle tables) with a Bluestein fallback for
-arbitrary lengths.  Both routes reject a non-finite input sample.
+arbitrary lengths; the inverse runs the same steps with the conjugated
+tables.  Both routes reject a non-finite input sample.
 """
 
 import functools
@@ -103,17 +104,21 @@ def _dft_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return W, T
 
 
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
+def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     """DFT along the last axis of power-of-two length n (Bailey's four-step):
     view x as (…, 32, n/32), transform the 32-axis, twiddle, recurse on the
-    last axis, and transpose so output k1 + 32·k2 lands in place."""
+    last axis, and transpose so output k1 + 32·k2 lands in place.  With
+    `inverse`, the unscaled inverse: the same steps with the conjugated
+    tables, which equals conj(DFT(conj(x))) bit for bit."""
     n = x.shape[-1]
     W, T = _dft_tables(n)
+    if inverse:
+        W, T = W.conj(), T.conj()
     if n <= _RADIX:
         return x @ W
     y = W @ x.reshape(*x.shape[:-1], _RADIX, n // _RADIX)
     y *= T
-    return _fft_pow2(y).swapaxes(-1, -2).reshape(x.shape)
+    return _fft_pow2(y, inverse).swapaxes(-1, -2).reshape(x.shape)
 
 
 def _bluestein(x: np.ndarray) -> np.ndarray:
@@ -147,7 +152,10 @@ def radix_ifft(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 1 or len(x) == 0:
         raise ValueError("input must be a non-empty 1-D array")
-    return np.conj(radix_fft(np.conj(x))) / len(x)
+    n = len(x)
+    if n & (n - 1) == 0:
+        return _fft_pow2(x, inverse=True) / n
+    return np.conj(_bluestein(np.conj(x))) / n
 
 
 def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
@@ -165,14 +173,15 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     m = 1 << (2 * L - 1).bit_length()
     kernel_padded = np.zeros(m)
     kernel_padded[:L] = K.values
-    K_f = radix_fft(kernel_padded)
+    K_f = _fft_pow2(kernel_padded)
+    K_f /= m  # the inverse's scaling, exact for a power of two
 
     rows = _finite_rows(u)
     out = np.empty_like(rows)
     for i, row in enumerate(rows):
         padded = np.zeros(m)
         padded[:L] = row
-        y = radix_ifft(radix_fft(padded) * K_f)[:L]
+        y = _fft_pow2(_fft_pow2(padded) * K_f, inverse=True)[:L]
         bound = 1e-9 * max(float(np.abs(y.real).max()), np.finfo(float).tiny)
         if float(np.abs(y.imag).max()) > bound:
             raise ValueError("unexpected imaginary residue in convolution output")

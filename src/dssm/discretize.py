@@ -147,11 +147,17 @@ def discretize_bilinear(A: np.ndarray, B: np.ndarray, dt: float) -> DiscretePara
         raise ValueError("dt must be positive")
     A, B, diagonal = _as_system(A, B)
     if diagonal:
-        denom = 1.0 - (dt / 2.0) * A
-        if (np.abs(denom) < 1e-300).any():
-            raise ValueError("singular bilinear resolvent: some A_n equals 2/dt")
-        A_bar = (1.0 + (dt / 2.0) * A) / denom
-        B_bar = dt * B / denom
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge dt: see below
+            denom = 1.0 - (dt / 2.0) * A
+            if (np.abs(denom) < 1e-300).any():
+                raise ValueError("singular bilinear resolvent: some A_n equals 2/dt")
+            A_bar = (1.0 + (dt / 2.0) * A) / denom
+            B_bar = dt * B / denom
+        # where dt/2 * A or dt * B overflows, the same map divided through by
+        # dt/2, which tends to the dt -> inf limit A_bar = -1, B_bar = -2B/A
+        big = ~(np.isfinite(A_bar) & np.isfinite(B_bar))
+        A_bar[big] = (2.0 / dt + A[big]) / (2.0 / dt - A[big])
+        B_bar[big] = 2.0 * B[big] / (2.0 / dt - A[big])
     else:
         n = A.shape[0]
         eye = np.eye(n, dtype=np.result_type(A.dtype, float))

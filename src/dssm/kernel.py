@@ -2,12 +2,11 @@
 
 The kernel is K_l = 2 Re( sum_n C_n B_bar_n A_bar_n^l ) over the
 half-spectrum (factor 1 instead of 2 for purely real specs).  One engine
-computes it for both the Vandermonde and the DSS softmax kernel: it streams
-over L in fixed-size chunks with O(N + chunk) auxiliary memory, and its
-output does not depend on the chunk schedule, bit for bit, under two rules:
-chunks are at least 2 samples long, and terms are multiplied out of the
-powers buffer, never in place.  `dssm bench` measures that memory with
-tracemalloc (acceptance criterion 07).
+computes it for both the Vandermonde and the DSS softmax kernel, as the
+paper's Vandermonde product taken one batch of 64-sample blocks per matmul
+(see _kernel_values).  Its output does not depend on the batch size, bit for
+bit, and its auxiliary memory depends on neither N nor L; `dssm bench`
+measures that memory with tracemalloc (acceptance criterion 07).
 """
 
 from dataclasses import dataclass
@@ -33,10 +32,11 @@ __all__ = [
 # module must use the same constant so both routes agree exactly.
 PAIR_OUTPUT_WEIGHT = 2.0
 
-# Streaming chunk length (build-time constant; buffers are allocated at this
-# size plus one regardless of L so auxiliary memory does not scale with the
-# problem).
+# Samples per batch of block rows (buffers are sized by it, never by N or L).
 STREAM_CHUNK = 4096
+
+_BLOCK = 64  # samples per kernel block row
+_GROUP = 32  # modes per block-Vandermonde table
 
 
 @dataclass
@@ -62,7 +62,6 @@ class Kernel:
 class BasisTable:
     """Samples of the basis functions K_n(t) on a time grid, one row per n."""
 
-    t_grid: np.ndarray
     values: np.ndarray
 
 
@@ -85,46 +84,46 @@ def _output_weight(spec: DiagonalSpec) -> float:
 def _kernel_values(
     w: np.ndarray, a: np.ndarray, L: int, out_weight: float, chunk: int = STREAM_CHUNK
 ) -> np.ndarray:
-    """out_weight * Re(sum_n w_n a_n^l) for l < L, walked over L in chunks.
+    """out_weight * Re(sum_n w_n a_n^l) for l < L, on a grid of 64-sample blocks.
 
-    Each mode keeps one running power, which seeds a cumprod one sample
-    longer than the chunk; its last element seeds the next chunk.  Each term
-    is multiplied straight into its level of a binary-counter pairwise merge
-    over n, so the summation order depends only on the mode count.  Buffers
-    hold chunk + 1 samples whatever L is: O(N + chunk) auxiliary memory.
+    Block b is Re((w a^(64b)) @ P) with P[n, j] = a_n^j, j < 64.  The modes go
+    in groups of _GROUP, the last one padded with w = a = 0.  Per group, one
+    cumprod over a^0..a^64 builds P, and per batch of block rows one cumprod
+    of [seed, a^64, a^64, ...] gives the rows' seeds; its last row seeds the
+    next batch.  One real matmul per batch gives the batch's samples.  Groups
+    are added into the output in index order, and out_weight is applied last.
+    Buffers are sized by _GROUP and `chunk` alone: O(chunk) auxiliary memory.
 
-    The output does not depend on `chunk`, bit for bit.  numpy rounds a
-    2-element complex cumprod, and an in-place 1-element complex multiply,
-    differently from the same element inside a longer array; so a `chunk`
-    below 2 is raised to 2, and terms are multiplied out of the powers
-    buffer, never in place.
+    `chunk` (samples) is taken as whole blocks, and the output does not depend
+    on it, bit for bit: every batch runs the same rows, at least 2, whether L
+    fills them or not.  numpy rounds a 2-element cumprod and a one-row matmul
+    differently from the same rows inside a longer batch.
     """
-    n_half = len(a)
-    chunk = max(chunk, 2)
-    running = np.ones(n_half, dtype=complex)
-    powers = np.empty(chunk + 1, dtype=complex)
-    levels = np.empty((max(1, n_half.bit_length()), chunk), dtype=complex)
-    # the levels left filled after the last mode: the set bits of n_half
-    k0, *rest = [k for k in range(len(levels)) if n_half >> k & 1]
-
-    out = np.empty(L, dtype=float)
-    for start in range(0, L, chunk):
-        width = min(chunk, L - start)
-        p, lv = powers[: width + 1], levels[:, :width]
-        for i in range(n_half):
-            p[0] = running[i]
-            p[1:] = a[i]
-            np.cumprod(p, out=p)
-            running[i] = p[width]
-            # mode i lands on the first empty level, past its trailing ones
-            k = (i ^ (i + 1)).bit_length() - 1
-            np.multiply(p[:width], w[i], out=lv[k])
-            for j in range(k):
-                lv[k] += lv[j]
-        # fold the partial sums from the lowest level up
-        for k in rest:
-            lv[k0] += lv[k]
-        np.multiply(lv[k0].real, out_weight, out=out[start : start + width])
+    rows = max(chunk // _BLOCK, 2)
+    out = np.zeros(L)
+    for g in range(0, len(a), _GROUP):
+        powers = np.zeros((_BLOCK + 1, _GROUP), dtype=complex)
+        powers[0] = 1.0
+        powers[1:, : len(a) - g] = a[g : g + _GROUP]
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        table = np.empty((2 * _GROUP, _BLOCK))  # Re(S @ P) = S.view(float) @ table
+        table[0::2] = powers[:_BLOCK].real.T
+        table[1::2] = -powers[:_BLOCK].imag.T
+        step = powers[_BLOCK].copy()
+        del powers  # before the batch buffers, so the peak holds one of them
+        seeds = np.zeros((rows + 1, _GROUP), dtype=complex)
+        seeds[0, : len(a) - g] = w[g : g + _GROUP]
+        res = np.empty((rows, _BLOCK))
+        for start in range(0, L, rows * _BLOCK):
+            seeds[1:] = step
+            # not np.cumprod: with out= it keeps ~100 traced bytes per call, up to ~9 kB (numpy 2.4)
+            np.multiply.accumulate(seeds, axis=0, out=seeds)
+            np.matmul(seeds[:rows].view(float), table, out=res)
+            width = min(rows * _BLOCK, L - start)
+            out[start : start + width] += res.ravel()[:width]
+            seeds[0] = seeds[rows]
+        del table, seeds, res  # before the next group's power table, for the same peak
+    out *= out_weight
     return out
 
 
@@ -138,7 +137,7 @@ def _kernel(
 
 def vandermonde_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kernel:
     """Kernel as the Vandermonde product of the weights C_n B_bar_n with the
-    powers A_bar_n^l, streamed over L with O(N + chunk) auxiliary memory.
+    powers A_bar_n^l, in batches of blocks with O(chunk) auxiliary memory.
 
     Powers are built by running products rather than through the complex
     logarithm, so no branch-cut issues arise; decay for long L relies on
@@ -224,7 +223,7 @@ def sample_basis(spec: DiagonalSpec | DenseSpec, t_grid: np.ndarray) -> BasisTab
         raise ValueError("t_grid must be a non-empty 1-D array")
     if isinstance(spec, DiagonalSpec):
         values = np.exp(np.outer(spec.A_half, t)) * spec.B_half[:, None]
-        return BasisTable(t_grid=t.copy(), values=values)
+        return BasisTable(values=values)
     if not isinstance(spec, DenseSpec):
         raise TypeError("spec must be a DiagonalSpec or DenseSpec")
 
@@ -237,4 +236,4 @@ def sample_basis(spec: DiagonalSpec | DenseSpec, t_grid: np.ndarray) -> BasisTab
         values = np.empty((spec.N, len(t)), dtype=np.result_type(A.dtype, B.dtype, float))
         for j, tj in enumerate(t):
             values[:, j] = dense_matrix_exp(tj * A) @ B
-    return BasisTable(t_grid=t.copy(), values=values)
+    return BasisTable(values=values)

@@ -201,7 +201,7 @@ def smoothed_normal_basis(N: int, t_grid: np.ndarray) -> BasisTable:
     normal = make_hippo_normal(N)
     disc = discretize(normal.A, normal.B / 2.0, h, "bilinear")
     values = _orbit(disc.A_bar, disc.B_bar / h, len(t), every=_REFINE)
-    return BasisTable(t_grid=t.copy(), values=values)
+    return BasisTable(values=values)
 
 
 def theorem_legsd_convergence(
@@ -314,4 +314,4 @@ def discrete_basis(spec: DenseSpec, rule: str, dt: float, L: int) -> BasisTable:
         raise ValueError("need L >= 1")
     disc = discretize(spec.A, spec.B, dt, rule)
     values = _orbit(disc.A_bar, disc.B_bar, L)
-    return BasisTable(t_grid=dt * np.arange(L, dtype=float), values=values)
+    return BasisTable(values=values)

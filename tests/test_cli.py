@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dssm.cli import _build_parser, main, read_signal_csv
+from dssm.cli import _build_parser, _resolve_config, build_spec, main, read_signal_csv
 from dssm.inits import INIT_NAMES
 
 
@@ -315,6 +315,23 @@ class TestConvCommand:
             outputs[mode] = read_signal_csv(str(out))
         scale = np.abs(outputs["scan"]).max()
         assert np.abs(outputs["fft"] - outputs["scan"]).max() <= 1e-8 * scale
+
+    def test_bilinear_step_past_overflow(self, tmp_path):
+        # at dt = 1e308, dt/2 * A_n overflows for most modes; B_bar tends to
+        # -2B/A as dt grows, so K_0 = 2 Re sum C B_bar tends to 2 Re sum C (-2B/A)
+        flags = ["--preset", "s4d", "--init", "rand", "--N", "8", "--dt", "1e308"]
+        kernel_path = tmp_path / "k.csv"
+        assert main(["kernel", "--L", "1", *flags, "-o", str(kernel_path)]) == 0
+        spec = build_spec(_resolve_config(_build_parser().parse_args(["kernel", "--L", "1", *flags])))
+        limit = 2 * (spec.C_half * (-2 * spec.B_half / spec.A_half)).sum().real
+        k0 = read_signal_csv(str(kernel_path))
+        np.testing.assert_allclose(k0, [limit], rtol=1e-12)
+        signal = tmp_path / "u.csv"
+        signal.write_text("l,value\n0,1.0\n")
+        for mode in ("fft", "scan"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["conv", "--input", str(signal), "--mode", mode, *flags, "-o", str(out)]) == 0
+            np.testing.assert_allclose(read_signal_csv(str(out)), k0, rtol=1e-12)
 
     def test_kernel_csv_feeds_conv(self, tmp_path):
         kernel_path = tmp_path / "k.csv"

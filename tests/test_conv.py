@@ -58,6 +58,14 @@ class TestRadixFft:
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         np.testing.assert_allclose(radix_fft(x), direct_dft(x), atol=1e-10)
 
+    # powers of two run the four-step with conjugated tables; 12 and 1000 are Bluestein
+    @pytest.mark.parametrize("n", [*(1 << k for k in range(14)), 12, 1000])
+    def test_inverse_is_conjugated_forward(self, n):
+        rng = np.random.default_rng(n + 2)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        expected = np.conj(radix_fft(np.conj(x))) / n
+        assert radix_ifft(x).tobytes() == expected.tobytes()
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             radix_fft(np.empty(0))

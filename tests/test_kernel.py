@@ -9,6 +9,7 @@ from dssm.inits import DiagonalSpec, init_C, init_lin, init_real
 from dssm.kernel import (
     PAIR_OUTPUT_WEIGHT,
     STREAM_CHUNK,
+    _GROUP,
     _kernel_values,
     dss_softmax_kernel,
     sample_basis,
@@ -179,18 +180,20 @@ class TestStreamingVariant:
 
 
 class TestChunkSchedule:
-    # 2 and 3 are the smallest chunks the engine allows
-    SCHEDULES = [(rule, chunk) for chunk in (STREAM_CHUNK, 2, 3) for rule in ("bilinear", "zoh")]
+    # chunks below 128 samples all run 2-row batches; 64, 65, 127 and 128
+    # sit at the edges of a 64-sample block
+    CHUNKS = (STREAM_CHUNK, 2, 3, 64, 65, 127, 128)
+    SCHEDULES = [(rule, chunk) for chunk in CHUNKS for rule in ("bilinear", "zoh")]
 
     @pytest.mark.parametrize(
         "rule, chunk", SCHEDULES, ids=[r if c == STREAM_CHUNK else f"{r}-{c}" for r, c in SCHEDULES]
     )
     def test_output_independent_of_chunk_schedule(self, rule, chunk):
-        # lengths 1-2 past a chunk boundary end on a 1-2 sample chunk, the
-        # sizes at which numpy rounds a cumprod differently from the same
-        # samples inside one longer chunk
+        # lengths at the block edges and 1-3 samples past a chunk boundary,
+        # where the last batch runs rows that L does not fill
         C = chunk
-        lengths = sorted({1, 2, 3, C - 1, C, C + 1, C + 2, C + 3, 2 * C + 1, 2 * C + 2, 3 * C + 17})
+        lengths = sorted({1, 2, 3, 63, 64, 65, C - 1, C, C + 1, C + 2, C + 3, 2 * C + 1, 2 * C + 2,
+                          3 * C + 17})
         rng = np.random.default_rng(40)
         for _ in range(20):
             spec, dt = random_stable_spec(rng)
@@ -206,33 +209,24 @@ class TestChunkSchedule:
                     )
 
 
-def pairwise_mode_sum(terms):
-    """The first 2^k terms (the largest power of two below n), then the rest,
-    then the two added."""
-    if len(terms) == 1:
-        return terms[0]
-    half = 1 << ((len(terms) - 1).bit_length() - 1)
-    return pairwise_mode_sum(terms[:half]) + pairwise_mode_sum(terms[half:])
-
-
 class TestModeSumOrder:
     @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
-    @pytest.mark.parametrize("n_half", [*range(1, 18), 100])
+    @pytest.mark.parametrize("n_half", [*range(1, 18), 31, 32, 33, 64, 65, 100])
     def test_modes_summed_pairwise_in_index_order(self, n_half, rule):
-        # mode counts with three or more set bits are where the order in
-        # which the engine folds its partial sums shows in the last bits
+        # the modes go in groups of _GROUP: each group is the engine run on
+        # that group alone, the running total and each group's sum are added
+        # pair by pair in index order, and the output weight is applied last
         spec, dt = random_stable_spec(np.random.default_rng(n_half), n_half=n_half)
         disc = discretize(spec.A_half, spec.B_half, dt, rule)
-        w = spec.C_half * disc.B_bar
+        w, a = spec.C_half * disc.B_bar, disc.A_bar
         for L in (1, 3, 100, STREAM_CHUNK + 2):
-            terms = [
-                np.cumprod(np.r_[1.0, np.full(L - 1, a_n)]) * w_n for a_n, w_n in zip(disc.A_bar, w)
-            ]
-            reference = PAIR_OUTPUT_WEIGHT * pairwise_mode_sum(terms).real
+            total = np.zeros(L)
+            for g in range(0, n_half, _GROUP):
+                total += _kernel_values(w[g : g + _GROUP], a[g : g + _GROUP], L, 1.0)
             for chunk in (L, STREAM_CHUNK):
                 np.testing.assert_array_equal(
-                    _kernel_values(w, disc.A_bar, L, PAIR_OUTPUT_WEIGHT, chunk=chunk),
-                    reference,
+                    _kernel_values(w, a, L, PAIR_OUTPUT_WEIGHT, chunk=chunk),
+                    PAIR_OUTPUT_WEIGHT * total,
                     err_msg=f"L={L}, chunk={chunk}",
                 )
 

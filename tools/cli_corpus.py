@@ -28,7 +28,7 @@ import numpy as np
 
 # name: (length, seed); 63, 64 and 65 samples sit at the scan's 64-step block edge
 INPUTS = {"u5000.csv": (5000, 11), "u4097.csv": (4097, 12), "u63.csv": (63, 13),
-          "u64.csv": (64, 14), "u65.csv": (65, 15)}
+          "u64.csv": (64, 14), "u65.csv": (65, 15), "u1.csv": (1, 16)}
 
 
 def _corpus() -> list[tuple[dict, list[str]]]:
@@ -42,12 +42,20 @@ def _corpus() -> list[tuple[dict, list[str]]]:
                                      "--dt", "0.01"]))
     for L in (4097, 65536):
         runs.append((plain, ["kernel", "--init", "lin", "--N", "256", "--L", str(L)]))
-    # mode counts N/2 with three or more set bits pin the order of the mode fold
-    for N in (14, 22, 26, 200):
-        runs.append((plain, ["kernel", "--init", "lin", "--N", str(N), "--L", "4097",
+    # mode counts N/2 below, at and past the kernel's 32-mode groups, and
+    # lengths that end inside a 64-sample block or a 4096-sample batch
+    for N, L in ((14, 4097), (22, 4097), (26, 4097), (200, 4097), (66, 65), (130, 4097)):
+        runs.append((plain, ["kernel", "--init", "lin", "--N", str(N), "--L", str(L),
                              "--dt", "0.01"]))
-    runs.append((plain, ["kernel", "--preset", "dss", "--init", "inv", "--N", "200",
-                         "--L", "4097", "--dt", "0.01"]))
+    for N, L in ((200, 4097), (66, 129)):
+        runs.append((plain, ["kernel", "--preset", "dss", "--init", "inv", "--N", str(N),
+                             "--L", str(L), "--dt", "0.01"]))
+    # a bilinear step so long that dt/2 * A overflows
+    runs.append((plain, ["kernel", "--L", "1", "--dt", "1e308", "--preset", "s4d", "--init", "rand",
+                         "--N", "8"]))
+    for mode in ("fft", "scan"):
+        runs.append((plain, ["conv", "--input", "u1.csv", "--mode", mode, "--init", "rand",
+                             "--N", "8", "--dt", "1e308"]))
     for name in ("u5000.csv", "u4097.csv"):
         for mode in ("fft", "scan"):
             for preset in ("s4d", "s4d-zoh"):
