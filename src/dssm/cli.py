@@ -241,7 +241,7 @@ def cmd_basis(config: argparse.Namespace) -> int:
         else:
             table = sample_basis(make_hippo_normal(config.N), t)
     name = config.init if dense is None else f"dense-{dense}"
-    values = table.values[: config.rows] if config.rows else table.values
+    values = table[: config.rows or None]
     _require_finite(values, "basis")
     meta = {"basis": name, "N": config.N, "rows": values.shape[0], "points": len(t)}
     rows = (
@@ -308,8 +308,7 @@ def cmd_conv(config: argparse.Namespace) -> int:
 def _probe_proposition(n_values=(2, 16, 64, 256), tolerance=1e-8):
     deviations = {}
     for N in n_values:
-        values = hippo_d_spectrum(N).eigenvalues
-        deviations[str(N)] = float(np.abs(values.real + 0.5).max())
+        deviations[str(N)] = float(np.abs(hippo_d_spectrum(N).real + 0.5).max())
     ok = all(dev <= tolerance for dev in deviations.values())
     return {
         "probe": "proposition-real-parts",

@@ -6,6 +6,9 @@ solvers: a Householder reduction to a real symmetric tridiagonal and
 Sturm-count bisection give the eigenvalues (all the spectrum of the normal
 variant needs), and inverse iteration on the tridiagonal gives eigenvectors
 where they are needed.  Nothing here depends on LAPACK-backed routines.
+Both return plain arrays: `hippo_d_spectrum` the complex eigenvalues sorted
+by descending Im, `hermitian_eigendecompose` the real float64 eigenvalues
+sorted descending, with the eigenvector matrix.
 """
 
 from dataclasses import dataclass
@@ -14,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "DenseSpec",
-    "Spectrum",
     "make_hippo_legs",
     "make_hippo_normal",
     "hermitian_eigendecompose",
@@ -48,14 +50,6 @@ class DenseSpec:
             self.C = np.asarray(self.C)
             if self.C.shape != (self.N,):
                 raise ValueError(f"C must have length {self.N}, got {self.C.shape}")
-
-
-@dataclass
-class Spectrum:
-    """Eigenvalue list in descending order: by imaginary part from
-    `hippo_d_spectrum`, by (real) value from `hermitian_eigendecompose`."""
-
-    eigenvalues: np.ndarray
 
 
 def make_hippo_legs(N: int) -> tuple[DenseSpec, np.ndarray]:
@@ -242,19 +236,20 @@ def _hermitian_spectrum(H: np.ndarray):
 
 
 def hermitian_eigendecompose(
-    H: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
-) -> tuple[Spectrum, np.ndarray]:
+    H: np.ndarray, tol: float = 1e-12, max_passes: int = 100
+) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a complex Hermitian matrix.
 
     A Householder reduction takes H to a real symmetric tridiagonal T, Sturm
     bisection finds the eigenvalues, and inverse iteration on T finds
     eigenvectors until every residual |T x - lambda x| is at most tol
     relative to the largest input entry; they map back through the reduction.
-    Returns real eigenvalues sorted descending and the matching unitary
-    eigenvector matrix V, with H @ V ~= V @ diag(eigenvalues).
+    Returns (eigenvalues, V): the eigenvalues as a real float64 array sorted
+    descending, and the matching unitary eigenvector matrix V (columns in the
+    same order), with H @ V ~= V @ diag(eigenvalues).
 
     Raises ValueError for input that is not Hermitian within tol, and
-    RuntimeError if max_sweeps inverse-iteration passes leave a larger
+    RuntimeError if max_passes inverse-iteration passes leave a larger
     residual.
     """
     H = np.asarray(H)
@@ -267,30 +262,32 @@ def hermitian_eigendecompose(
     if defect > tol * max(1.0, scale):
         raise ValueError("input is not Hermitian within tolerance")
     values, scaled, (d, e, phases, reflectors) = _hermitian_spectrum(original)
-    X = _tridiagonal_eigenvectors(d, e, scaled, tol * np.frexp(scale)[0], max_sweeps)
+    X = _tridiagonal_eigenvectors(d, e, scaled, tol * np.frexp(scale)[0], max_passes)
     V = phases[:, None] * X
     for k, v in reversed(reflectors):
         V[k + 1 :] -= np.outer(2.0 * v, v.conj() @ V[k + 1 :])
     order = np.argsort(-values, kind="stable")
-    return Spectrum(eigenvalues=values[order].astype(complex)), V[:, order]
+    return values[order], V[:, order]
 
 
 _spectrum_cache: dict[int, np.ndarray] = {}
 
 
-def hippo_d_spectrum(N: int) -> Spectrum:
-    """Eigenvalues of the normal LegS variant, sorted by descending Im.
+def hippo_d_spectrum(N: int) -> np.ndarray:
+    """Eigenvalues of the normal LegS variant: a complex array of length N,
+    sorted by descending Im.
 
     Splits A_normal = -I/2 + S with S real skew-symmetric.  The eigenvalue
     half of the Hermitian engine (reduction and bisection, no eigenvectors)
     gives the real eigenvalues u of the Hermitian iS; each maps back to
-    -1/2 - iu, so all real parts are exactly -1/2.  Results are cached per N.
+    -1/2 - iu, so all real parts are exactly -1/2.  Results are cached per N;
+    each call returns a fresh copy.
     """
     if N < 1:
         raise ValueError("state size must be >= 1")
     cached = _spectrum_cache.get(N)
     if cached is not None:
-        return Spectrum(eigenvalues=cached.copy())
+        return cached.copy()
     normal = make_hippo_normal(N)
     S = normal.A + 0.5 * np.eye(N)
     u = _hermitian_spectrum(1j * S)[0]
@@ -298,4 +295,4 @@ def hippo_d_spectrum(N: int) -> Spectrum:
     order = np.argsort(-values.imag, kind="stable")
     values = values[order]
     _spectrum_cache[N] = values.copy()
-    return Spectrum(eigenvalues=values)
+    return values

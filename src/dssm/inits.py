@@ -127,7 +127,7 @@ def _spec(name: str, N: int, a_half: np.ndarray, conj_pairs: bool = True) -> Dia
 def init_legsd(N: int) -> DiagonalSpec:
     """Positive-imaginary half of the diagonalized normal LegS matrix."""
     half = _even(N)
-    values = hippo_d_spectrum(N).eigenvalues[:half]
+    values = hippo_d_spectrum(N)[:half]
     if not (values.imag > 0).all():
         raise ValueError(f"no positive-imaginary half-spectrum at N={N}")
     return _spec("legsd", N, values)

@@ -7,6 +7,8 @@ paper's Vandermonde product taken one batch of 64-sample blocks per matmul
 (see _kernel_values).  Its output does not depend on the batch size, bit for
 bit, and its auxiliary memory depends on neither N nor L; `dssm bench`
 measures that memory with tracemalloc (acceptance criterion 07).
+Kernels come as `Kernel` (values and provenance; L is len(values)), and
+`sample_basis` returns a plain (n, points) array.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,6 @@ __all__ = [
     "STREAM_CHUNK",
     "KernelMeta",
     "Kernel",
-    "BasisTable",
     "vandermonde_kernel",
     "dss_softmax_kernel",
     "sample_basis",
@@ -51,18 +52,14 @@ class KernelMeta:
 
 @dataclass
 class Kernel:
-    """Length-L real convolution kernel plus provenance metadata."""
+    """Real convolution kernel plus provenance metadata; L is its length."""
 
     values: np.ndarray
-    L: int
     meta: KernelMeta
 
-
-@dataclass
-class BasisTable:
-    """Samples of the basis functions K_n(t) on a time grid, one row per n."""
-
-    values: np.ndarray
+    @property
+    def L(self) -> int:
+        return len(self.values)
 
 
 def _weights(spec: DiagonalSpec, disc: DiscreteParams) -> np.ndarray:
@@ -132,7 +129,7 @@ def _kernel(
 ) -> Kernel:
     values = _kernel_values(w, disc.A_bar, L, _output_weight(spec), chunk)
     meta = KernelMeta(init=spec.name, rule=disc.rule, N=spec.N, dt=disc.dt)
-    return Kernel(values=values, L=L, meta=meta)
+    return Kernel(values=values, meta=meta)
 
 
 def vandermonde_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kernel:
@@ -211,8 +208,9 @@ def _uniform_spacing(t: np.ndarray) -> float | None:
     return h
 
 
-def sample_basis(spec: DiagonalSpec | DenseSpec, t_grid: np.ndarray) -> BasisTable:
-    """Sample the basis functions K_n(t) = (e^{tA} B)_n on a time grid.
+def sample_basis(spec: DiagonalSpec | DenseSpec, t_grid: np.ndarray) -> np.ndarray:
+    """Sample the basis functions K_n(t) = (e^{tA} B)_n on a time grid: an
+    (n, len(t_grid)) array, one row per basis function.
 
     Diagonal specs evaluate exp(t A_n) B_n in closed form.  Dense specs use
     one matrix exponential per grid step when the grid is uniform (the
@@ -222,8 +220,7 @@ def sample_basis(spec: DiagonalSpec | DenseSpec, t_grid: np.ndarray) -> BasisTab
     if t.ndim != 1 or len(t) < 1:
         raise ValueError("t_grid must be a non-empty 1-D array")
     if isinstance(spec, DiagonalSpec):
-        values = np.exp(np.outer(spec.A_half, t)) * spec.B_half[:, None]
-        return BasisTable(values=values)
+        return np.exp(np.outer(spec.A_half, t)) * spec.B_half[:, None]
     if not isinstance(spec, DenseSpec):
         raise TypeError("spec must be a DiagonalSpec or DenseSpec")
 
@@ -231,9 +228,8 @@ def sample_basis(spec: DiagonalSpec | DenseSpec, t_grid: np.ndarray) -> BasisTab
     h = _uniform_spacing(t)
     if h is not None:
         x0 = dense_matrix_exp(t[0] * A) @ B if t[0] != 0.0 else B
-        values = _orbit(dense_matrix_exp(h * A), x0, len(t))
-    else:
-        values = np.empty((spec.N, len(t)), dtype=np.result_type(A.dtype, B.dtype, float))
-        for j, tj in enumerate(t):
-            values[:, j] = dense_matrix_exp(tj * A) @ B
-    return BasisTable(values=values)
+        return _orbit(dense_matrix_exp(h * A), x0, len(t))
+    values = np.empty((spec.N, len(t)), dtype=np.result_type(A.dtype, B.dtype, float))
+    for j, tj in enumerate(t):
+        values[:, j] = dense_matrix_exp(tj * A) @ B
+    return values

@@ -2,7 +2,8 @@
 
 Dense-matrix kernels and basis samples, the closed-form Legendre basis, the
 large-N convergence probe for the normal LegS basis, the spectrum asymptotics
-probe, and the random rank-1 perturbation experiment.
+probe, and the random rank-1 perturbation experiment.  Bases are plain
+arrays with one row per basis function and one column per sample.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ import numpy as np
 from .discretize import _orbit, discretize, lu_factor, lu_solve
 from .hippo import DenseSpec, hippo_d_spectrum, make_hippo_legs, make_hippo_normal
 from .inits import DiagonalSpec
-from .kernel import BasisTable, Kernel, KernelMeta, _uniform_spacing, sample_basis
+from .kernel import Kernel, KernelMeta, _uniform_spacing, sample_basis
 
 __all__ = [
     "ConvergenceReport",
@@ -77,9 +78,9 @@ def dense_kernel(spec: DenseSpec, rule: str, dt: float, L: int) -> Kernel:
         raise ValueError("dense kernel needs C")
     if L < 1:
         raise ValueError("kernel length must be >= 1")
-    values = (spec.C.astype(complex) @ discrete_basis(spec, rule, dt, L).values).real
+    values = (spec.C.astype(complex) @ discrete_basis(spec, rule, dt, L)).real
     meta = KernelMeta(init="dense", rule=rule, N=spec.N, dt=float(dt))
-    return Kernel(values=values, L=L, meta=meta)
+    return Kernel(values=values, meta=meta)
 
 
 def state_space_transform(spec: DenseSpec, V: np.ndarray) -> DenseSpec:
@@ -176,9 +177,10 @@ def legendre_orthonormality_defect(n_max: int = 10) -> float:
     return float(np.abs(gram - np.eye(n_max + 1)).max())
 
 
-def smoothed_normal_basis(N: int, t_grid: np.ndarray) -> BasisTable:
+def smoothed_normal_basis(N: int, t_grid: np.ndarray) -> np.ndarray:
     """Basis of the normal LegS variant with input map B/2, numerically
-    realized through trapezoid (bilinear) integration.
+    realized through trapezoid (bilinear) integration: an (N, len(t_grid))
+    array, one row per state.
 
     The grid must be uniform.  The integrator takes _REFINE substeps h per
     grid interval and records every _REFINE-th state, normalized by h so
@@ -200,8 +202,7 @@ def smoothed_normal_basis(N: int, t_grid: np.ndarray) -> BasisTable:
     h = spacing / _REFINE
     normal = make_hippo_normal(N)
     disc = discretize(normal.A, normal.B / 2.0, h, "bilinear")
-    values = _orbit(disc.A_bar, disc.B_bar / h, len(t), every=_REFINE)
-    return BasisTable(values=values)
+    return _orbit(disc.A_bar, disc.B_bar / h, len(t), every=_REFINE)
 
 
 def theorem_legsd_convergence(
@@ -215,7 +216,7 @@ def theorem_legsd_convergence(
         table = smoothed_normal_basis(N, t)
         rows = min(n_max, N - 1)
         reference = legendre_basis_table(rows, t)
-        gap = np.abs(table.values[: rows + 1] - reference).max()
+        gap = np.abs(table[: rows + 1] - reference).max()
         errors.append(float(gap))
     monotone = all(errors[i + 1] <= errors[i] for i in range(len(errors) - 1))
     return ConvergenceReport(errors=errors, monotone=monotone)
@@ -233,7 +234,7 @@ def conjecture_probe(N: int) -> ConjectureReport:
     """
     if N < CONJECTURE_MIN_N:
         raise ValueError(f"conjecture probe needs N >= {CONJECTURE_MIN_N}, got {N}")
-    values = hippo_d_spectrum(N).eigenvalues
+    values = hippo_d_spectrum(N)
     # the conjugate-pair half, as init_legsd takes it (sorted by descending
     # Im); for odd N a sign test would keep the zero mode, whose imaginary
     # part comes out of bisection as a tiny positive or negative number
@@ -256,24 +257,25 @@ def conjecture_probe(N: int) -> ConjectureReport:
 
 def perturbation_experiment(
     sigma: float, seed: int, N: int, t_grid: np.ndarray
-) -> tuple[BasisTable, float]:
+) -> tuple[np.ndarray, float]:
     """Basis of (A + P P^T, B) for LegS (A, B) and random Gaussian P.
 
     P has i.i.d. entries of standard deviation sigma.  Returns the sampled
-    table and its divergence scalar max |value|; unlike the special rank-1
-    factor of the normal variant, random factors push eigenvalues into the
-    right half plane and the basis blows up.
+    (N, len(t_grid)) basis and its divergence scalar max |value|; unlike the
+    special rank-1 factor of the normal variant, random factors push
+    eigenvalues into the right half plane and the basis blows up.
     """
     legs, _ = make_hippo_legs(N)
     rng = np.random.default_rng(seed)
     P = sigma * rng.standard_normal(N)
     perturbed = DenseSpec(A=legs.A + np.outer(P, P), B=legs.B, C=None, N=N)
     table = sample_basis(perturbed, t_grid)
-    return table, float(np.abs(table.values).max())
+    return table, float(np.abs(table).max())
 
 
-def fout_truncation_basis(N: int, t_grid: np.ndarray) -> BasisTable:
-    """Basis of the truncated Fourier diagonal: A_n = 2 pi i n, B = 1.
+def fout_truncation_basis(N: int, t_grid: np.ndarray) -> np.ndarray:
+    """Basis of the truncated Fourier diagonal: A_n = 2 pi i n, B = 1, as an
+    (N // 2, len(t_grid)) array.
 
     Real part zero means every row has constant magnitude |e^{i w t}| = 1;
     nothing decays, unlike the -1/2 families.
@@ -305,13 +307,13 @@ def random_stable_spec(rng: np.random.Generator, n_half: int | None = None) -> t
     return spec, dt
 
 
-def discrete_basis(spec: DenseSpec, rule: str, dt: float, L: int) -> BasisTable:
-    """Rows of (B_bar, A_bar B_bar, ..., A_bar^{L-1} B_bar) on the step grid.
+def discrete_basis(spec: DenseSpec, rule: str, dt: float, L: int) -> np.ndarray:
+    """The (N, L) array whose columns are B_bar, A_bar B_bar, ...,
+    A_bar^{L-1} B_bar: the basis on the step grid.
 
     Discrete analogue of the continuous basis sample; the grid is l * dt.
     """
     if L < 1:
         raise ValueError("need L >= 1")
     disc = discretize(spec.A, spec.B, dt, rule)
-    values = _orbit(disc.A_bar, disc.B_bar, L)
-    return BasisTable(values=values)
+    return _orbit(disc.A_bar, disc.B_bar, L)

@@ -34,7 +34,7 @@ def direct_causal_conv(u, k):
 
 def as_kernel(values, rule="bilinear", dt=0.1):
     values = np.asarray(values, dtype=float)
-    return Kernel(values=values, L=len(values), meta=KernelMeta("test", rule, 2, dt))
+    return Kernel(values=values, meta=KernelMeta("test", rule, 2, dt))
 
 
 class TestRadixFft:

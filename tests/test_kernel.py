@@ -10,6 +10,8 @@ from dssm.kernel import (
     PAIR_OUTPUT_WEIGHT,
     STREAM_CHUNK,
     _GROUP,
+    Kernel,
+    KernelMeta,
     _kernel_values,
     dss_softmax_kernel,
     sample_basis,
@@ -68,12 +70,12 @@ class TestVandermondeKernel:
         t = np.arange(1024) / 1024.0
         table = sample_basis(spec, t)
         crossings = [
-            int((np.diff(np.sign(table.values[n].real)) != 0).sum()) for n in range(8)
+            int((np.diff(np.sign(table[n].real)) != 0).sum()) for n in range(8)
         ]
         for n in range(1, 8):
             assert abs(crossings[n] - n) <= 1
         envelope = np.exp(-t / 2)
-        assert (np.abs(table.values[:8]) <= envelope[None, :] * (1 + 1e-12)).all()
+        assert (np.abs(table[:8]) <= envelope[None, :] * (1 + 1e-12)).all()
 
     def test_realness_against_full_spectrum_sum(self):
         rng = np.random.default_rng(11)
@@ -142,6 +144,15 @@ def one_chunk_values(spec, disc, L, weights=None):
     """The kernel engine with a single chunk spanning all L samples."""
     w = spec.C_half * disc.B_bar if weights is None else weights
     return _kernel_values(w, disc.A_bar, L, PAIR_OUTPUT_WEIGHT, chunk=L)
+
+
+class TestKernelLength:
+    def test_length_is_derived_from_values(self):
+        assert Kernel(values=np.zeros(5), meta=KernelMeta("test", "zoh", 2, 0.1)).L == 5
+
+    def test_length_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            Kernel(values=np.zeros(5), L=5, meta=KernelMeta("test", "zoh", 2, 0.1))
 
 
 class TestStreamingVariant:
@@ -296,7 +307,7 @@ class TestSampleBasis:
         spec = init_lin(8)
         spec.B_half = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
         table = sample_basis(spec, np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(table.values[:, 0], spec.B_half)
+        np.testing.assert_array_equal(table[:, 0], spec.B_half)
 
     def test_halved_decay_envelope_row(self):
         spec = DiagonalSpec(
@@ -304,14 +315,14 @@ class TestSampleBasis:
         )
         t = np.linspace(0.0, 5.0, 64)
         table = sample_basis(spec, t)
-        np.testing.assert_allclose(table.values[0], np.exp(-t / 2), rtol=1e-14)
+        np.testing.assert_allclose(table[0], np.exp(-t / 2), rtol=1e-14)
 
     def test_dense_legs_matches_legendre_closed_form(self):
         legs, _ = make_hippo_legs(64)
         t = np.linspace(0.0, 3.0, 256)
         table = sample_basis(DenseSpec(A=legs.A, B=legs.B, C=None, N=64), t)
         reference = legendre_basis_table(8, t)
-        assert np.abs(table.values[:9].real - reference).max() <= 1e-6
+        assert np.abs(table[:9].real - reference).max() <= 1e-6
 
     def test_dense_uniform_and_pointwise_paths_agree(self):
         legs, _ = make_hippo_legs(12)
@@ -322,12 +333,12 @@ class TestSampleBasis:
         a = sample_basis(spec, uniform)
         b = sample_basis(spec, jittered)
         mask = [0, 1, 2, 4, 5, 6, 7, 8]
-        np.testing.assert_allclose(a.values[:, mask], b.values[:, mask], atol=1e-11)
+        np.testing.assert_allclose(a[:, mask], b[:, mask], atol=1e-11)
 
     def test_dense_t_zero_column(self):
         legs, _ = make_hippo_legs(6)
         table = sample_basis(DenseSpec(A=legs.A, B=legs.B, C=None, N=6), np.array([0.0]))
-        np.testing.assert_allclose(table.values[:, 0], legs.B, atol=1e-15)
+        np.testing.assert_allclose(table[:, 0], legs.B, atol=1e-15)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):

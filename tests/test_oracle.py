@@ -194,8 +194,8 @@ class TestTheoremConvergence:
         bound = np.abs(normal.B).max()
         for rule in ("bilinear", "zoh"):
             table = discrete_basis(spec, rule, dt, L)
-            assert np.isfinite(table.values).all()
-            assert np.abs(table.values / dt).max() <= 4.0 * bound
+            assert np.isfinite(table).all()
+            assert np.abs(table / dt).max() <= 4.0 * bound
 
 
 class TestConjectureProbe:
@@ -248,8 +248,8 @@ class TestPerturbation:
         table, divergence = perturbation_experiment(0.0, seed=5, N=32, t_grid=t)
         legs, _ = make_hippo_legs(32)
         reference = sample_basis(DenseSpec(A=legs.A, B=legs.B, C=None, N=32), t)
-        np.testing.assert_array_equal(table.values, reference.values)
-        assert divergence == np.abs(reference.values).max()
+        np.testing.assert_array_equal(table, reference)
+        assert divergence == np.abs(reference).max()
 
     # fixed seeds landing in the unstable regime of the random rank-1 shift;
     # whether a given draw destabilizes the spectrum is itself random
@@ -276,20 +276,20 @@ class TestFoutTruncation:
     def test_rows_have_constant_magnitude(self):
         t = np.linspace(0.0, 3.0, 40)
         table = fout_truncation_basis(8, t)
-        magnitudes = np.abs(table.values)
+        magnitudes = np.abs(table)
         assert np.abs(magnitudes - magnitudes[:, :1]).max() <= 1e-12
 
     def test_t_zero_column_is_b(self):
         table = fout_truncation_basis(8, np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(table.values[:, 0], np.ones(4))
+        np.testing.assert_array_equal(table[:, 0], np.ones(4))
 
     def test_contrast_with_decaying_family(self):
         t = np.linspace(0.0, 6.0, 60)
         lin = sample_basis(init_lin(8), t)
         fout = fout_truncation_basis(8, t)
         envelope = np.exp(-t / 2)
-        assert (np.abs(lin.values) <= envelope[None, :] * (1 + 1e-12)).all()
-        assert np.abs(fout.values[:, -1]).min() > 0.99
+        assert (np.abs(lin) <= envelope[None, :] * (1 + 1e-12)).all()
+        assert np.abs(fout[:, -1]).min() > 0.99
 
 
 class TestRandomStableSpec:

@@ -16,12 +16,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dssm.cli import _csv_text, main, read_signal_csv
+from dssm.cli import _build_parser, _csv_text, _resolve_config, build_spec, main, read_signal_csv
 from dssm.conv import Signal, fft_causal_conv, recurrent_scan
 from dssm.discretize import RULES, discretize
+from dssm.hippo import DenseSpec
 from dssm.inits import INIT_NAMES
 from dssm.kernel import STREAM_CHUNK, vandermonde_kernel
-from dssm.oracle import random_stable_spec
+from dssm.oracle import dense_kernel, random_stable_spec
 
 deterministic = settings(derandomize=True, deadline=None, database=None, max_examples=15)
 
@@ -139,6 +140,50 @@ def csv_values(text):
     )
 
 
+def csv_meta(text):
+    """The '# key: value' metadata comments of a CSV, as a dict of strings."""
+    pairs = (line[2:].split(": ", 1) for line in text.splitlines() if line.startswith("# "))
+    return dict(pairs)
+
+
+# a few steps of the smallest subnormal: outputs at dt = 5e-324 are themselves
+# subnormal, so each rounding there is a whole step (a conv output sums L
+# rounded terms, so it gets the floor once per term)
+SUBNORMAL_FLOOR = 4 * 5e-324
+
+
+def reference_kernel(argv, dt, L):
+    """The kernel that `dssm kernel` or `dssm conv` with `argv` should use, by
+    the dense oracle on the same spec (the conjugate pairs written out as a
+    dense diagonal matrix); DSS weights are divided by their row sums
+    sum_l A_bar_n^l.  Where the dense oracle fails (only at the overflow edge
+    dt = 1e308), the closed-form dt -> inf limit stands in: zoh A_bar -> 0,
+    B_bar -> -B/A, and bilinear A_bar -> -1, B_bar -> -2B/A."""
+    config = _resolve_config(_build_parser().parse_args(argv))
+    spec = build_spec(config)
+    a, b, c = spec.A_half, spec.B_half, spec.C_half
+    if spec.conj_pairs:
+        a, b, c = (np.concatenate([x, x.conj()]) for x in (a, b, c))
+    dense = DenseSpec(A=np.diag(a), B=b, C=c, N=len(a))
+    try:
+        # at dt = 1e308 the dense path overflows, then raises or returns nan
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if config.softmax:
+                a_bar = np.diag(discretize(dense.A, b, dt, config.disc).A_bar)
+                dense.C = c / np.vander(a_bar, L, increasing=True).sum(axis=1)
+            values = dense_kernel(dense, config.disc, dt, L).values
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    assert dt == 1e308, "the dense oracle fails only at the overflow edge"
+    a_bar, b_bar = (0.0, -b / a) if config.disc == "zoh" else (-1.0, -2.0 * b / a)
+    powers = a_bar ** np.arange(L)
+    if config.softmax:
+        c = c / powers.sum()
+    return (c @ b_bar * powers).real
+
+
 # 600 examples so that at least 100 kernel/conv runs take an explicit edge
 # --dt (the derandomized draw gives 129; the rest draw --dt-min/--dt-max)
 @settings(deterministic, max_examples=600)
@@ -164,6 +209,7 @@ def test_cli_exits_cleanly_on_edge_inputs(
                   label="N")
     kernel_flags = [f"{timescale}={value}", "--preset", preset, "--init", init]
     with tempfile.TemporaryDirectory() as directory:
+        u = None
         if command == "spectrum":
             argv = ["spectrum", "--all"] if every else ["spectrum", "--init", init]
         elif command == "basis":
@@ -174,16 +220,28 @@ def test_cli_exits_cleanly_on_edge_inputs(
             argv = ["kernel", "--L", str(L), *kernel_flags]
         else:
             path = os.path.join(directory, "u.csv")
-            values = np.random.default_rng(L).standard_normal(L)
+            u = np.random.default_rng(L).standard_normal(L)
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(_csv_text({}, ["l", "value"], "%d,%.17g\n", enumerate(values)))
+                handle.write(_csv_text({}, ["l", "value"], "%d,%.17g\n", enumerate(u)))
             argv = ["conv", "--input", path, "--mode", command, *kernel_flags]
-        code, out, err = run_cli(argv + ["--N", str(N)])
+        argv += ["--N", str(N)]
+        code, out, err = run_cli(argv)
     assert code in (0, 2)
     assert "replaces" not in err  # every example reaches the computation
     if code == 0:
         assert np.isfinite(csv_values(out)).all()
         assert err == ""
+        if command in ("kernel", "scan", "fft"):
+            dt = float(csv_meta(out)["dt"])
+            assert timescale != "--dt" or dt == float(value)
+            reference = reference_kernel(argv, dt, L)
+            floor = SUBNORMAL_FLOOR
+            if u is not None:  # conv: the oracle kernel convolved by numpy's FFT
+                n = 2 * L
+                reference = np.fft.irfft(np.fft.rfft(u, n) * np.fft.rfft(reference, n), n)[:L]
+                floor *= L
+            gap = np.abs(csv_values(out)[1::2] - reference).max()  # the value of each l,value row
+            assert gap <= 1e-10 * np.abs(reference).max() + floor
     else:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -70,6 +70,8 @@ def _corpus() -> list[tuple[dict, list[str]]]:
                  "--init", "inv"]),
         (plain, ["spectrum", "--all", "--N", "64"]),
         (plain, ["spectrum", "--all", "--N", "64", "--format", "json"]),
+        (plain, ["spectrum", "--init", "legsd", "--N", "256"]),
+        (plain, ["spectrum", "--init", "legsd", "--N", "256", "--format", "json"]),
         (plain, ["basis", "--init", "lin", "--N", "8"]),
         (plain, ["basis", "--dense", "legs", "--N", "64", "--rows", "5"]),
         (plain, ["basis", "--dense", "normal", "--N", "16", "--rows", "0", "--points", "33"]),
