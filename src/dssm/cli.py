@@ -195,31 +195,31 @@ def _system_kernel(config: argparse.Namespace, spec: DiagonalSpec, disc: Discret
     return vandermonde_kernel(spec, disc, config.L)
 
 
-def build_kernel(config: argparse.Namespace) -> Kernel:
-    return _system_kernel(config, *build_system(config))
-
-
-def _kernel_meta(config: argparse.Namespace, kernel: Kernel) -> dict:
+def _system_meta(config: argparse.Namespace, disc: DiscreteParams) -> dict:
+    """The metadata lines that `kernel` and `conv` CSVs start with."""
     return {
-        "init": kernel.meta.init,
-        "rule": kernel.meta.rule,
-        "N": kernel.meta.N,
-        "dt": _fmt(kernel.meta.dt),
-        "L": kernel.L,
+        "init": config.init,
+        "rule": disc.rule,
+        "N": config.N,
+        "dt": _fmt(disc.dt),
+        "L": config.L,
         "seed": config.seed,
-        "re_mode": config.re_mode,
-        "b_mode": config.b_mode,
-        "softmax": config.softmax,
     }
+
+
+def _kernel_meta(config: argparse.Namespace, disc: DiscreteParams) -> dict:
+    return _system_meta(config, disc) | {
+        "re_mode": config.re_mode, "b_mode": config.b_mode, "softmax": config.softmax}
 
 
 def cmd_kernel(config: argparse.Namespace) -> int:
     # an accepted but extreme flag (--dt 1e308) may overflow on the way; the
     # _require_finite check on the result reports it, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel = build_kernel(config)
+        spec, disc = build_system(config)
+        kernel = _system_kernel(config, spec, disc)
     _require_finite(kernel.values, "kernel")
-    text = _csv_text(_kernel_meta(config, kernel), ["l", "value"], "%d,%.17g\n",
+    text = _csv_text(_kernel_meta(config, disc), ["l", "value"], "%d,%.17g\n",
                      enumerate(kernel.values.tolist()))
     _write_text(config.output, text)
     return 0
@@ -291,15 +291,7 @@ def cmd_conv(config: argparse.Namespace) -> int:
         else:
             out, _ = recurrent_scan(disc, spec.C_half, signal, conj_pairs=spec.conj_pairs)
     _require_finite(out.samples, "conv output")
-    meta = {
-        "init": config.init,
-        "rule": config.disc,
-        "N": config.N,
-        "dt": _fmt(disc.dt),
-        "L": config.L,
-        "seed": config.seed,
-        "mode": config.mode,
-    }
+    meta = _system_meta(config, disc) | {"mode": config.mode}
     rows = enumerate(np.atleast_1d(out.samples).tolist())
     _write_text(config.output, _csv_text(meta, ["l", "value"], "%d,%.17g\n", rows))
     return 0
@@ -505,7 +497,7 @@ def _bench_cell(config: argparse.Namespace, N: int, L: int):
 
     def csv(kernel):
         rows = enumerate(kernel.values.tolist())
-        return _csv_text(_kernel_meta(cell, kernel), ["l", "value"], "%d,%.17g\n", rows)
+        return _csv_text(_kernel_meta(cell, disc), ["l", "value"], "%d,%.17g\n", rows)
 
     k_str, t_str, alloc_str = run(vandermonde_kernel)
     _require_finite(k_str.values, "kernel")

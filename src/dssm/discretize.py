@@ -142,7 +142,11 @@ def _as_system(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, bo
 
 
 def discretize_bilinear(A: np.ndarray, B: np.ndarray, dt: float) -> DiscreteParams:
-    """Tustin map: A_bar = (I - dt/2 A)^-1 (I + dt/2 A), B_bar = (I - dt/2 A)^-1 dt B."""
+    """Tustin map: A_bar = (I - dt/2 A)^-1 (I + dt/2 A), B_bar = (I - dt/2 A)^-1 dt B.
+
+    A dense system whose A_bar or B_bar comes out non-finite (dt so large
+    that dt/2 A or dt B overflows) is a ValueError.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     A, B, diagonal = _as_system(A, B)
@@ -164,6 +168,8 @@ def discretize_bilinear(A: np.ndarray, B: np.ndarray, dt: float) -> DiscretePara
         factored = lu_factor(eye - (dt / 2.0) * A)
         A_bar = lu_solve(factored, eye + (dt / 2.0) * A)
         B_bar = lu_solve(factored, dt * B)
+        if not (np.isfinite(A_bar).all() and np.isfinite(B_bar).all()):
+            raise ValueError(f"bilinear discretization of a dense system overflows at dt={dt}")
     return DiscreteParams(A_bar=A_bar, B_bar=B_bar, rule="bilinear", dt=float(dt))
 
 

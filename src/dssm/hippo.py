@@ -26,7 +26,7 @@ __all__ = [
 
 @dataclass
 class DenseSpec:
-    """Dense state-space triple (A, B, C) of state size N.
+    """Dense state-space triple (A, B, C); the state size N is len(B).
 
     C may be left unset; constructors that only define the dynamics leave it
     to the caller.
@@ -35,21 +35,22 @@ class DenseSpec:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray | None
-    N: int
 
     def __post_init__(self):
         self.A = np.asarray(self.A)
         self.B = np.asarray(self.B)
-        if self.N < 1:
-            raise ValueError("state size must be a positive integer")
+        if self.B.ndim != 1 or len(self.B) < 1:
+            raise ValueError(f"B must be a non-empty vector, got shape {self.B.shape}")
         if self.A.shape != (self.N, self.N):
             raise ValueError(f"A must be {self.N}x{self.N}, got {self.A.shape}")
-        if self.B.shape != (self.N,):
-            raise ValueError(f"B must have length {self.N}, got {self.B.shape}")
         if self.C is not None:
             self.C = np.asarray(self.C)
             if self.C.shape != (self.N,):
                 raise ValueError(f"C must have length {self.N}, got {self.C.shape}")
+
+    @property
+    def N(self) -> int:
+        return len(self.B)
 
 
 def make_hippo_legs(N: int) -> tuple[DenseSpec, np.ndarray]:
@@ -67,7 +68,7 @@ def make_hippo_legs(N: int) -> tuple[DenseSpec, np.ndarray]:
     A = -np.tril(np.outer(root, root), -1) - np.diag(n + 1.0)
     B = root.copy()
     P = np.sqrt(n + 0.5)
-    return DenseSpec(A=A, B=B, C=None, N=N), P
+    return DenseSpec(A=A, B=B, C=None), P
 
 
 def make_hippo_normal(N: int) -> DenseSpec:
@@ -79,7 +80,7 @@ def make_hippo_normal(N: int) -> DenseSpec:
     """
     legs, P = make_hippo_legs(N)
     A_normal = legs.A + np.outer(P, P)
-    return DenseSpec(A=A_normal, B=legs.B.copy(), C=None, N=N)
+    return DenseSpec(A=A_normal, B=legs.B.copy(), C=None)
 
 
 def _tridiagonalize(H: np.ndarray):

@@ -38,12 +38,12 @@ class DiagonalSpec:
     conj_pairs=True means each stored eigenvalue implicitly carries its
     conjugate, so kernels take twice the real part of the half sum.  The
     purely real family stores all N eigenvalues and sets conj_pairs=False.
+    The state size N follows from the two: 2 * n_half or n_half.
     """
 
     A_half: np.ndarray
     B_half: np.ndarray
     C_half: np.ndarray | None = None
-    N: int = 0
     name: str = ""
     conj_pairs: bool = True
 
@@ -52,8 +52,6 @@ class DiagonalSpec:
         self.B_half = np.asarray(self.B_half, dtype=complex)
         if self.C_half is not None:
             self.C_half = np.asarray(self.C_half, dtype=complex)
-        if self.N == 0:
-            self.N = 2 * len(self.A_half) if self.conj_pairs else len(self.A_half)
         if len(self.B_half) != len(self.A_half):
             raise ValueError("B_half must match A_half in length")
         if self.conj_pairs and (self.A_half.imag < 0).any():
@@ -62,6 +60,10 @@ class DiagonalSpec:
     @property
     def n_half(self) -> int:
         return len(self.A_half)
+
+    @property
+    def N(self) -> int:
+        return 2 * self.n_half if self.conj_pairs else self.n_half
 
 
 @dataclass
@@ -113,12 +115,11 @@ def _even(N: int) -> int:
     return N // 2
 
 
-def _spec(name: str, N: int, a_half: np.ndarray, conj_pairs: bool = True) -> DiagonalSpec:
+def _spec(name: str, a_half: np.ndarray, conj_pairs: bool = True) -> DiagonalSpec:
     a_half = np.asarray(a_half, dtype=complex)
     return DiagonalSpec(
         A_half=a_half,
         B_half=np.ones(len(a_half), dtype=complex),
-        N=N,
         name=name,
         conj_pairs=conj_pairs,
     )
@@ -130,7 +131,7 @@ def init_legsd(N: int) -> DiagonalSpec:
     values = hippo_d_spectrum(N)[:half]
     if not (values.imag > 0).all():
         raise ValueError(f"no positive-imaginary half-spectrum at N={N}")
-    return _spec("legsd", N, values)
+    return _spec("legsd", values)
 
 
 def _inv_from_positions(N: int, u: np.ndarray) -> np.ndarray:
@@ -144,27 +145,27 @@ def _lin_from_positions(u: np.ndarray) -> np.ndarray:
 def init_inv(N: int) -> DiagonalSpec:
     """Inverse-law imaginary parts: A_n = -1/2 + i (N/pi) (N/(2n+1) - 1)."""
     half = _even(N)
-    return _spec("inv", N, _inv_from_positions(N, np.arange(half, dtype=float)))
+    return _spec("inv", _inv_from_positions(N, np.arange(half, dtype=float)))
 
 
 def init_lin(N: int) -> DiagonalSpec:
     """Linear-law imaginary parts: A_n = -1/2 + i pi n."""
     half = _even(N)
-    return _spec("lin", N, _lin_from_positions(np.arange(half, dtype=float)))
+    return _spec("lin", _lin_from_positions(np.arange(half, dtype=float)))
 
 
 def init_inv2(N: int) -> DiagonalSpec:
     """Inverse law with n+1 denominator: A_n = -1/2 + i (N/pi) (N/(n+1) - 1)."""
     half = _even(N)
     n = np.arange(half, dtype=float)
-    return _spec("inv2", N, -0.5 + 1j * (N / np.pi) * (N / (n + 1.0) - 1.0))
+    return _spec("inv2", -0.5 + 1j * (N / np.pi) * (N / (n + 1.0) - 1.0))
 
 
 def init_quad(N: int) -> DiagonalSpec:
     """Quadratic-law imaginary parts: A_n = -1/2 + i (1+2n)^2 / pi."""
     half = _even(N)
     n = np.arange(half, dtype=float)
-    return _spec("quad", N, -0.5 + 1j * (1.0 + 2.0 * n) ** 2 / np.pi)
+    return _spec("quad", -0.5 + 1j * (1.0 + 2.0 * n) ** 2 / np.pi)
 
 
 def init_real(N: int) -> DiagonalSpec:
@@ -172,7 +173,7 @@ def init_real(N: int) -> DiagonalSpec:
     if N < 1:
         raise ValueError("state size must be >= 1")
     n = np.arange(N, dtype=float)
-    return _spec("real", N, -(n + 1.0) + 0j, conj_pairs=False)
+    return _spec("real", -(n + 1.0) + 0j, conj_pairs=False)
 
 
 def init_rand(N: int, seed: int) -> DiagonalSpec:
@@ -184,7 +185,7 @@ def init_rand(N: int, seed: int) -> DiagonalSpec:
     half = _even(N)
     rng = np.random.default_rng(seed)
     values = -rng.uniform(0.0, 1.0, half) + 1j * rng.uniform(0.0, N * np.pi / 2.0, half)
-    return _spec("rand", N, values)
+    return _spec("rand", values)
 
 
 def init_inv_random_imag(N: int, seed: int) -> DiagonalSpec:
@@ -199,7 +200,7 @@ def init_inv_random_imag(N: int, seed: int) -> DiagonalSpec:
     u = rng.uniform(0.0, N / 2.0, half)
     values = _inv_from_positions(N, u)
     values = values.real + 1j * np.maximum(values.imag, 0.0)
-    return _spec("inv-rimag", N, values)
+    return _spec("inv-rimag", values)
 
 
 def init_lin_random_imag(N: int, seed: int) -> DiagonalSpec:
@@ -210,7 +211,7 @@ def init_lin_random_imag(N: int, seed: int) -> DiagonalSpec:
     half = _even(N)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, N / 2.0, half)
-    return _spec("lin-rimag", N, _lin_from_positions(u))
+    return _spec("lin-rimag", _lin_from_positions(u))
 
 
 def init_random_real(spec: DiagonalSpec, seed: int) -> DiagonalSpec:
@@ -221,7 +222,6 @@ def init_random_real(spec: DiagonalSpec, seed: int) -> DiagonalSpec:
         A_half=re + 1j * spec.A_half.imag,
         B_half=spec.B_half.copy(),
         C_half=None if spec.C_half is None else spec.C_half.copy(),
-        N=spec.N,
         name=f"{spec.name}-rreal" if spec.name else "rreal",
         conj_pairs=spec.conj_pairs,
     )

@@ -7,8 +7,8 @@ paper's Vandermonde product taken one batch of 64-sample blocks per matmul
 (see _kernel_values).  Its output does not depend on the batch size, bit for
 bit, and its auxiliary memory depends on neither N nor L; `dssm bench`
 measures that memory with tracemalloc (acceptance criterion 07).
-Kernels come as `Kernel` (values and provenance; L is len(values)), and
-`sample_basis` returns a plain (n, points) array.
+Kernels come as `Kernel` (the values; L is len(values)); what built one is
+the caller's to record.  `sample_basis` returns a plain (n, points) array.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,6 @@ from .inits import DiagonalSpec
 __all__ = [
     "PAIR_OUTPUT_WEIGHT",
     "STREAM_CHUNK",
-    "KernelMeta",
     "Kernel",
     "vandermonde_kernel",
     "dss_softmax_kernel",
@@ -41,21 +40,10 @@ _GROUP = 32  # modes per block-Vandermonde table
 
 
 @dataclass
-class KernelMeta:
-    """Provenance of a kernel: initialization name, rule, state size, dt."""
-
-    init: str
-    rule: str
-    N: int
-    dt: float
-
-
-@dataclass
 class Kernel:
-    """Real convolution kernel plus provenance metadata; L is its length."""
+    """Real convolution kernel; L is its length."""
 
     values: np.ndarray
-    meta: KernelMeta
 
     @property
     def L(self) -> int:
@@ -71,6 +59,8 @@ def _weights(spec: DiagonalSpec, disc: DiscreteParams) -> np.ndarray:
         )
     if spec.C_half is None:
         raise ValueError("spec has no C_half; initialize it first")
+    if len(spec.C_half) != spec.n_half:
+        raise ValueError(f"spec has {spec.n_half} modes but C_half has {len(spec.C_half)}")
     return spec.C_half * disc.B_bar
 
 
@@ -127,9 +117,7 @@ def _kernel_values(
 def _kernel(
     spec: DiagonalSpec, disc: DiscreteParams, L: int, w: np.ndarray, chunk: int = STREAM_CHUNK
 ) -> Kernel:
-    values = _kernel_values(w, disc.A_bar, L, _output_weight(spec), chunk)
-    meta = KernelMeta(init=spec.name, rule=disc.rule, N=spec.N, dt=disc.dt)
-    return Kernel(values=values, meta=meta)
+    return Kernel(_kernel_values(w, disc.A_bar, L, _output_weight(spec), chunk))
 
 
 def vandermonde_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kernel:

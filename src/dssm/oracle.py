@@ -13,7 +13,7 @@ import numpy as np
 from .discretize import _orbit, discretize, lu_factor, lu_solve
 from .hippo import DenseSpec, hippo_d_spectrum, make_hippo_legs, make_hippo_normal
 from .inits import DiagonalSpec
-from .kernel import Kernel, KernelMeta, _uniform_spacing, sample_basis
+from .kernel import Kernel, _uniform_spacing, sample_basis
 
 __all__ = [
     "ConvergenceReport",
@@ -78,9 +78,7 @@ def dense_kernel(spec: DenseSpec, rule: str, dt: float, L: int) -> Kernel:
         raise ValueError("dense kernel needs C")
     if L < 1:
         raise ValueError("kernel length must be >= 1")
-    values = (spec.C.astype(complex) @ discrete_basis(spec, rule, dt, L)).real
-    meta = KernelMeta(init="dense", rule=rule, N=spec.N, dt=float(dt))
-    return Kernel(values=values, meta=meta)
+    return Kernel((spec.C.astype(complex) @ discrete_basis(spec, rule, dt, L)).real)
 
 
 def state_space_transform(spec: DenseSpec, V: np.ndarray) -> DenseSpec:
@@ -97,7 +95,7 @@ def state_space_transform(spec: DenseSpec, V: np.ndarray) -> DenseSpec:
     A_t = lu_solve(factored, spec.A @ V)
     B_t = lu_solve(factored, spec.B)
     C_t = None if spec.C is None else spec.C @ V
-    return DenseSpec(A=A_t, B=B_t, C=C_t, N=spec.N)
+    return DenseSpec(A=A_t, B=B_t, C=C_t)
 
 
 def legendre_basis_table(n_max: int, t: np.ndarray) -> np.ndarray:
@@ -268,7 +266,7 @@ def perturbation_experiment(
     legs, _ = make_hippo_legs(N)
     rng = np.random.default_rng(seed)
     P = sigma * rng.standard_normal(N)
-    perturbed = DenseSpec(A=legs.A + np.outer(P, P), B=legs.B, C=None, N=N)
+    perturbed = DenseSpec(A=legs.A + np.outer(P, P), B=legs.B, C=None)
     table = sample_basis(perturbed, t_grid)
     return table, float(np.abs(table).max())
 
@@ -284,9 +282,7 @@ def fout_truncation_basis(N: int, t_grid: np.ndarray) -> np.ndarray:
     if half < 1:
         raise ValueError("need N >= 2")
     a = 2j * np.pi * np.arange(half)
-    spec = DiagonalSpec(
-        A_half=a, B_half=np.ones(half, dtype=complex), N=N, name="fout-trunc"
-    )
+    spec = DiagonalSpec(A_half=a, B_half=np.ones(half, dtype=complex), name="fout-trunc")
     return sample_basis(spec, t_grid)
 
 
@@ -300,7 +296,6 @@ def random_stable_spec(rng: np.random.Generator, n_half: int | None = None) -> t
         A_half=re + 1j * im,
         B_half=np.ones(n_half, dtype=complex),
         C_half=rng.standard_normal(n_half) + 1j * rng.standard_normal(n_half),
-        N=2 * n_half,
         name="random",
     )
     dt = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e-1))))

@@ -67,7 +67,7 @@ def test_criterion_02_diagonalization_equivalence():
     for N in (4, 8, 16):
         normal = make_hippo_normal(N)
         C = rng.standard_normal(N)
-        dense_spec = DenseSpec(A=normal.A, B=normal.B, C=C, N=N)
+        dense_spec = DenseSpec(A=normal.A, B=normal.B, C=C)
         dt, L = 0.05, 96
         reference = dense_kernel(dense_spec, "bilinear", dt, L)
 
@@ -78,7 +78,6 @@ def test_criterion_02_diagonalization_equivalence():
             A_half=eigenvalues,
             B_half=V.conj().T @ normal.B,
             C_half=C @ V,
-            N=N,
             name="diagonalized",
             conj_pairs=False,
         )
@@ -261,7 +260,6 @@ def test_criterion_11_dss_softmax_identity():
         A_half=spec.A_half,
         B_half=spec.B_half,
         C_half=spec.C_half / row_sums,
-        N=spec.N,
         name=spec.name,
     )
     reference = vandermonde_kernel(rescaled, disc, L)

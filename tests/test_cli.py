@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import warnings
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from dssm.cli import _build_parser, _resolve_config, build_spec, main, read_signal_csv
-from dssm.inits import INIT_NAMES
+from dssm.hippo import DenseSpec
+from dssm.inits import INIT_NAMES, DiagonalSpec
+from dssm.kernel import Kernel
 
 
 def run(argv, capsys):
@@ -32,11 +35,12 @@ class TestKernelCommand:
         out = tmp_path / "k.csv"
         assert main(["kernel", "--init", "lin", "--N", "32", "--L", "128",
                      "--dt", "0.005", "--seed", "1", "-o", str(out)]) == 0
-        from dssm.cli import _build_parser, _resolve_config, build_kernel
+        from dssm.cli import _build_parser, _resolve_config, _system_kernel, build_system
 
         args = _build_parser().parse_args(["kernel", "--init", "lin", "--N", "32", "--L", "128",
                                            "--dt", "0.005", "--seed", "1"])
-        kernel = build_kernel(_resolve_config(args))
+        config = _resolve_config(args)
+        kernel = _system_kernel(config, *build_system(config))
         parsed = read_signal_csv(str(out))
         np.testing.assert_array_equal(parsed, kernel.values)
 
@@ -633,3 +637,36 @@ def test_settable_flag_budget():
     assert counts == {"kernel": 13, "basis": 11, "spectrum": 6, "conv": 14, "verify": 3,
                       "bench": 8}
     assert sum(counts.values()) == 55
+
+
+def test_stored_field_budget():
+    """Stored fields of the spec and kernel types: none holds a value that
+    the others already determine (N, L and provenance are derived or the
+    caller's).  A new field changes this list here."""
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (Kernel, DiagonalSpec, DenseSpec)}
+    assert fields == {"Kernel": ["values"],
+                      "DiagonalSpec": ["A_half", "B_half", "C_half", "name", "conj_pairs"],
+                      "DenseSpec": ["A", "B", "C"]}
+
+
+def test_state_size_is_derived():
+    a = np.array([-0.5 + 1j, -0.5 + 2j, -0.5 + 3j])
+    b = np.ones(3, dtype=complex)
+    diagonal = {"A_half": a, "B_half": b}
+    dense = {"A": np.diag(a), "B": b, "C": None}
+    assert DiagonalSpec(**diagonal).N == 6
+    assert DiagonalSpec(**diagonal, conj_pairs=False).N == 3
+    assert DenseSpec(**dense).N == 3
+    for cls, args in ((DiagonalSpec, diagonal), (DenseSpec, dense)):
+        with pytest.raises(TypeError):
+            cls(**args, N=5)
+        spec = cls(**args)
+        with pytest.raises(AttributeError):
+            spec.N = 5
+
+
+@pytest.mark.parametrize("B", [np.ones((2, 1)), np.ones(0)], ids=["2-D", "empty"])
+def test_dense_spec_needs_a_vector_b(B):
+    with pytest.raises(ValueError, match="non-empty vector"):
+        DenseSpec(A=np.zeros((len(B), len(B))), B=B, C=None)

@@ -14,7 +14,7 @@ from dssm.conv import (
 )
 from dssm.discretize import RULES, DiscreteParams, discretize
 from dssm.inits import make_init
-from dssm.kernel import Kernel, KernelMeta, vandermonde_kernel
+from dssm.kernel import Kernel, vandermonde_kernel
 from dssm.oracle import random_stable_spec
 
 
@@ -32,9 +32,8 @@ def direct_causal_conv(u, k):
     return out
 
 
-def as_kernel(values, rule="bilinear", dt=0.1):
-    values = np.asarray(values, dtype=float)
-    return Kernel(values=values, meta=KernelMeta("test", rule, 2, dt))
+def as_kernel(values):
+    return Kernel(np.asarray(values, dtype=float))
 
 
 class TestRadixFft:

@@ -60,6 +60,13 @@ class TestBilinear:
         with pytest.raises(ValueError, match="singular"):
             discretize_bilinear(A, np.ones(2), dt)
 
+    def test_dense_overflow_rejected(self):
+        # dt * B overflows: the dense path raises rather than return a nan B_bar
+        A = np.diag([-0.5 + 1j, -0.5 - 1j])
+        B = np.array([2.5 + 0.3j, 2.5 - 0.3j])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows"):
+            discretize_bilinear(A, B, 1e308)
+
     def test_rule_tag_and_dt_recorded(self):
         disc = discretize_bilinear(np.array([-1.0]), np.array([1.0]), 0.25)
         assert disc.rule == "bilinear"

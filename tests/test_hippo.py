@@ -253,8 +253,8 @@ class TestHippoDSpectrum:
 class TestDenseSpecValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            DenseSpec(A=np.zeros((2, 2)), B=np.zeros(3), C=None, N=2)
+            DenseSpec(A=np.zeros((2, 2)), B=np.zeros(3), C=None)
 
     def test_c_checked_when_present(self):
         with pytest.raises(ValueError):
-            DenseSpec(A=np.zeros((2, 2)), B=np.zeros(2), C=np.zeros(5), N=2)
+            DenseSpec(A=np.zeros((2, 2)), B=np.zeros(2), C=np.zeros(5))

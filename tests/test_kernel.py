@@ -5,13 +5,12 @@ from dssm.cli import _auxiliary_peak_bytes
 from dssm.conv import Signal, recurrent_scan
 from dssm.discretize import DiscreteParams, discretize, discretize_bilinear, discretize_zoh
 from dssm.hippo import DenseSpec, make_hippo_legs
-from dssm.inits import DiagonalSpec, init_C, init_lin, init_real
+from dssm.inits import DiagonalSpec, init_lin, init_real
 from dssm.kernel import (
     PAIR_OUTPUT_WEIGHT,
     STREAM_CHUNK,
     _GROUP,
     Kernel,
-    KernelMeta,
     _kernel_values,
     dss_softmax_kernel,
     sample_basis,
@@ -34,7 +33,6 @@ def one_pair_spec(name="pair"):
         A_half=np.array([-0.5 + 1j]),
         B_half=np.ones(1, dtype=complex),
         C_half=np.ones(1, dtype=complex),
-        N=2,
         name=name,
     )
 
@@ -111,21 +109,20 @@ class TestVandermondeKernel:
         bound = amplitude * rho ** np.arange(L)
         assert (np.abs(kernel.values) <= bound * (1 + 1e-9) + 1e-300).all()
 
-    def test_meta_provenance(self):
-        spec = init_lin(8)
-        spec.C_half = init_C(4, 0)
-        disc = discretize_bilinear(spec.A_half, spec.B_half, 0.01)
-        kernel = vandermonde_kernel(spec, disc, 16)
-        assert kernel.meta.init == "lin"
-        assert kernel.meta.rule == "bilinear"
-        assert kernel.meta.N == 8
-        assert kernel.meta.dt == 0.01
-
     def test_length_mismatch_rejected(self):
         spec = one_pair_spec()
         disc = manual_disc([0.5, 0.5], [1.0, 1.0])
         with pytest.raises(ValueError, match="modes"):
             vandermonde_kernel(spec, disc, 8)
+
+    @pytest.mark.parametrize("build", [vandermonde_kernel, dss_softmax_kernel])
+    def test_c_length_mismatch_rejected(self, build):
+        # a 1-element C_half on a 2-mode spec must not broadcast
+        spec = init_lin(4)
+        spec.C_half = np.ones(1, dtype=complex)
+        disc = discretize_zoh(spec.A_half, spec.B_half, 0.1)
+        with pytest.raises(ValueError, match="C_half"):
+            build(spec, disc, 8)
 
     def test_unset_c_rejected(self):
         spec = init_lin(8)
@@ -148,11 +145,11 @@ def one_chunk_values(spec, disc, L, weights=None):
 
 class TestKernelLength:
     def test_length_is_derived_from_values(self):
-        assert Kernel(values=np.zeros(5), meta=KernelMeta("test", "zoh", 2, 0.1)).L == 5
+        assert Kernel(values=np.zeros(5)).L == 5
 
     def test_length_is_not_a_field(self):
         with pytest.raises(TypeError):
-            Kernel(values=np.zeros(5), L=5, meta=KernelMeta("test", "zoh", 2, 0.1))
+            Kernel(values=np.zeros(5), L=5)
 
 
 class TestStreamingVariant:
@@ -265,7 +262,6 @@ class TestDssSoftmaxKernel:
             A_half=spec.A_half,
             B_half=spec.B_half,
             C_half=spec.C_half / row_sums,
-            N=spec.N,
             name=spec.name,
         )
         reference = vandermonde_kernel(rescaled, disc, L)
@@ -310,9 +306,7 @@ class TestSampleBasis:
         np.testing.assert_array_equal(table[:, 0], spec.B_half)
 
     def test_halved_decay_envelope_row(self):
-        spec = DiagonalSpec(
-            A_half=np.array([-0.5 + 0j]), B_half=np.ones(1, dtype=complex), N=2
-        )
+        spec = DiagonalSpec(A_half=np.array([-0.5 + 0j]), B_half=np.ones(1, dtype=complex))
         t = np.linspace(0.0, 5.0, 64)
         table = sample_basis(spec, t)
         np.testing.assert_allclose(table[0], np.exp(-t / 2), rtol=1e-14)
@@ -320,13 +314,13 @@ class TestSampleBasis:
     def test_dense_legs_matches_legendre_closed_form(self):
         legs, _ = make_hippo_legs(64)
         t = np.linspace(0.0, 3.0, 256)
-        table = sample_basis(DenseSpec(A=legs.A, B=legs.B, C=None, N=64), t)
+        table = sample_basis(DenseSpec(A=legs.A, B=legs.B, C=None), t)
         reference = legendre_basis_table(8, t)
         assert np.abs(table[:9].real - reference).max() <= 1e-6
 
     def test_dense_uniform_and_pointwise_paths_agree(self):
         legs, _ = make_hippo_legs(12)
-        spec = DenseSpec(A=legs.A, B=legs.B, C=None, N=12)
+        spec = DenseSpec(A=legs.A, B=legs.B, C=None)
         uniform = np.linspace(0.0, 2.0, 9)
         jittered = uniform.copy()
         jittered[3] += 1e-4  # breaks the uniform-spacing detection
@@ -337,7 +331,7 @@ class TestSampleBasis:
 
     def test_dense_t_zero_column(self):
         legs, _ = make_hippo_legs(6)
-        table = sample_basis(DenseSpec(A=legs.A, B=legs.B, C=None, N=6), np.array([0.0]))
+        table = sample_basis(DenseSpec(A=legs.A, B=legs.B, C=None), np.array([0.0]))
         np.testing.assert_allclose(table[:, 0], legs.B, atol=1e-15)
 
     def test_rejects_bad_grid(self):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dssm import oracle
 from dssm.discretize import discretize
 from dssm.hippo import DenseSpec, hermitian_eigendecompose, make_hippo_legs, make_hippo_normal
 from dssm.inits import DiagonalSpec, init_lin
@@ -45,11 +46,11 @@ class TestDenseKernel:
         b_full = np.concatenate([half.B_half, np.conj(half.B_half)])
         c_full = np.concatenate([half.C_half, np.conj(half.C_half)])
         full = DiagonalSpec(
-            A_half=a_full, B_half=b_full, C_half=c_full, N=12, name="full", conj_pairs=False
+            A_half=a_full, B_half=b_full, C_half=c_full, name="full", conj_pairs=False
         )
         disc = discretize(a_full, b_full, dt, "bilinear")
         diag_kernel = vandermonde_kernel(full, disc, 64)
-        dense = DenseSpec(A=np.diag(a_full), B=b_full, C=c_full, N=12)
+        dense = DenseSpec(A=np.diag(a_full), B=b_full, C=c_full)
         dense_k = dense_kernel(dense, "bilinear", dt, 64)
         scale = np.abs(dense_k.values).max()
         assert np.abs(dense_k.values - diag_kernel.values).max() <= 1e-10 * scale
@@ -60,7 +61,7 @@ class TestDenseKernel:
         N, L, dt = 16, 128, 0.05
         legs, _ = make_hippo_legs(N)
         C = rng.standard_normal(N)
-        spec = DenseSpec(A=legs.A, B=legs.B, C=C, N=N)
+        spec = DenseSpec(A=legs.A, B=legs.B, C=C)
         kernel = dense_kernel(spec, rule, dt, L)
         disc = discretize(legs.A, legs.B, dt, rule)
         reference = dense_scan_oracle(disc.A_bar, disc.B_bar, C.astype(complex), L)
@@ -76,11 +77,11 @@ class TestDenseKernel:
     def test_requires_c(self):
         legs, _ = make_hippo_legs(4)
         with pytest.raises(ValueError, match="C"):
-            dense_kernel(DenseSpec(A=legs.A, B=legs.B, C=None, N=4), "zoh", 0.1, 8)
+            dense_kernel(DenseSpec(A=legs.A, B=legs.B, C=None), "zoh", 0.1, 8)
 
-    def test_oracle_size_cap(self):
-        big = DenseSpec(A=np.zeros((2, 2)), B=np.zeros(2), C=np.zeros(2), N=2)
-        big.N = 5000  # force the guard
+    def test_oracle_size_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "ORACLE_MAX_N", 1)  # force the guard
+        big = DenseSpec(A=np.zeros((2, 2)), B=np.zeros(2), C=np.zeros(2))
         with pytest.raises(ValueError, match="capped"):
             dense_kernel(big, "zoh", 0.1, 4)
 
@@ -88,7 +89,7 @@ class TestDenseKernel:
 class TestStateSpaceTransform:
     def test_identity_transform(self):
         legs, _ = make_hippo_legs(5)
-        spec = DenseSpec(A=legs.A, B=legs.B, C=np.ones(5), N=5)
+        spec = DenseSpec(A=legs.A, B=legs.B, C=np.ones(5))
         same = state_space_transform(spec, np.eye(5))
         np.testing.assert_allclose(same.A, spec.A, atol=1e-13)
         np.testing.assert_allclose(same.B, spec.B, atol=1e-13)
@@ -99,7 +100,7 @@ class TestStateSpaceTransform:
         N = 16
         normal = make_hippo_normal(N)
         C = rng.standard_normal(N)
-        spec = DenseSpec(A=normal.A, B=normal.B, C=C, N=N)
+        spec = DenseSpec(A=normal.A, B=normal.B, C=C)
         S = normal.A + 0.5 * np.eye(N)
         spectrum, V = hermitian_eigendecompose(1j * S)
         transformed = state_space_transform(spec, V)
@@ -114,7 +115,7 @@ class TestStateSpaceTransform:
         rng = np.random.default_rng(33)
         N = 8
         legs, _ = make_hippo_legs(N)
-        spec = DenseSpec(A=legs.A, B=legs.B, C=rng.standard_normal(N), N=N)
+        spec = DenseSpec(A=legs.A, B=legs.B, C=rng.standard_normal(N))
         V = np.eye(N) + 0.1 * rng.standard_normal((N, N))
         assert np.linalg.cond(V) < 100
         transformed = state_space_transform(spec, V)
@@ -125,7 +126,7 @@ class TestStateSpaceTransform:
 
     def test_shape_guard(self):
         legs, _ = make_hippo_legs(4)
-        spec = DenseSpec(A=legs.A, B=legs.B, C=None, N=4)
+        spec = DenseSpec(A=legs.A, B=legs.B, C=None)
         with pytest.raises(ValueError):
             state_space_transform(spec, np.eye(3))
 
@@ -190,7 +191,7 @@ class TestTheoremConvergence:
         N, L = 256, 256
         dt = 3.0 / L
         normal = make_hippo_normal(N)
-        spec = DenseSpec(A=normal.A, B=normal.B / 2.0, C=None, N=N)
+        spec = DenseSpec(A=normal.A, B=normal.B / 2.0, C=None)
         bound = np.abs(normal.B).max()
         for rule in ("bilinear", "zoh"):
             table = discrete_basis(spec, rule, dt, L)
@@ -247,7 +248,7 @@ class TestPerturbation:
         t = np.linspace(0.0, 3.0, 64)
         table, divergence = perturbation_experiment(0.0, seed=5, N=32, t_grid=t)
         legs, _ = make_hippo_legs(32)
-        reference = sample_basis(DenseSpec(A=legs.A, B=legs.B, C=None, N=32), t)
+        reference = sample_basis(DenseSpec(A=legs.A, B=legs.B, C=None), t)
         np.testing.assert_array_equal(table, reference)
         assert divergence == np.abs(reference).max()
 

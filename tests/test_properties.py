@@ -164,16 +164,14 @@ def reference_kernel(argv, dt, L):
     a, b, c = spec.A_half, spec.B_half, spec.C_half
     if spec.conj_pairs:
         a, b, c = (np.concatenate([x, x.conj()]) for x in (a, b, c))
-    dense = DenseSpec(A=np.diag(a), B=b, C=c, N=len(a))
+    dense = DenseSpec(A=np.diag(a), B=b, C=c)
     try:
-        # at dt = 1e308 the dense path overflows, then raises or returns nan
+        # at dt = 1e308 the dense path overflows and raises
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if config.softmax:
                 a_bar = np.diag(discretize(dense.A, b, dt, config.disc).A_bar)
                 dense.C = c / np.vander(a_bar, L, increasing=True).sum(axis=1)
-            values = dense_kernel(dense, config.disc, dt, L).values
-        if np.isfinite(values).all():
-            return values
+            return dense_kernel(dense, config.disc, dt, L).values
     except ValueError:
         pass
     assert dt == 1e308, "the dense oracle fails only at the overflow edge"

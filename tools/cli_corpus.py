@@ -68,6 +68,14 @@ def _corpus() -> list[tuple[dict, list[str]]]:
     runs += [
         (plain, ["conv", "--input", "u5000.csv", "--mode", "fft", "--preset", "dss",
                  "--init", "inv"]),
+        # metadata of a real spectrum (N modes, odd N, no conjugate pairs) and of
+        # hyphenated seeded inits, one of them with a drawn dt
+        (plain, ["kernel", "--init", "real", "--N", "7", "--L", "65", "--dt", "0.01"]),
+        (plain, ["kernel", "--init", "lin-rimag", "--N", "16", "--L", "65"]),
+        (plain, ["conv", "--input", "u65.csv", "--mode", "scan", "--init", "real", "--N", "5",
+                 "--dt", "0.01"]),
+        (plain, ["conv", "--input", "u65.csv", "--mode", "fft", "--init", "inv-rimag",
+                 "--N", "16"]),
         (plain, ["spectrum", "--all", "--N", "64"]),
         (plain, ["spectrum", "--all", "--N", "64", "--format", "json"]),
         (plain, ["spectrum", "--init", "legsd", "--N", "256"]),
