@@ -6,11 +6,11 @@ subcommand reads its flags from it and takes only the flags it reads, added
 per pipeline stage (init, params, disc, dt range, softmax; see
 `_build_parser`).  The verification probes run at fixed sizes, and `bench`
 fixes the real-part transform and B.  argparse parses the comma-separated
-lists;
-`_resolve_config` rejects a flag of a stage that a given selection replaces
-(`_REPLACES`), adds the SSM_SEED seed fallback, fills preset flags and the
-`--init` and dt range defaults left unset, and rejects softmax without ZOH.
-`build_system` is the one place that checks or draws dt and discretizes.
+lists; `_resolve_config` rejects a flag of a stage that a given selection
+replaces (`_REPLACES`), adds the SSM_SEED seed fallback, fills preset flags
+and the `--init` and dt range defaults left unset, and rejects softmax
+without ZOH.  `build_system` is the one place that checks or draws dt and
+discretizes.
 
 CSV output carries '#'-prefixed metadata comments, then a column header, then
 rows with 17-significant-digit numbers (lossless double round-trip).  JSON
@@ -37,8 +37,9 @@ from .discretize import RULES, DiscreteParams, discretize
 from .hippo import hippo_d_spectrum, make_hippo_legs, make_hippo_normal
 from .inits import (
     INIT_NAMES,
+    RE_MODES,
     DiagonalSpec,
-    RealPartParam,
+    constrain_real_parts,
     init_C,
     init_log_dt,
     make_init,
@@ -171,8 +172,7 @@ def build_spec(config: argparse.Namespace) -> DiagonalSpec:
         spec.B_half = spec.B_half + (
             rng.standard_normal(spec.n_half) + 1j * rng.standard_normal(spec.n_half)
         ) / np.sqrt(8.0)
-    param = RealPartParam.from_real_parts(spec.A_half.real, mode=config.re_mode)
-    spec.A_half = param.apply(spec.A_half)
+    spec.A_half = constrain_real_parts(spec.A_half, config.re_mode)
     return spec
 
 
@@ -297,7 +297,8 @@ def cmd_conv(config: argparse.Namespace) -> int:
     return 0
 
 
-def _probe_proposition(n_values=(2, 16, 64, 256), tolerance=1e-8):
+def _probe_proposition():
+    n_values, tolerance = (2, 16, 64, 256), 1e-8
     deviations = {}
     for N in n_values:
         deviations[str(N)] = float(np.abs(hippo_d_spectrum(N).real + 0.5).max())
@@ -310,7 +311,8 @@ def _probe_proposition(n_values=(2, 16, 64, 256), tolerance=1e-8):
     }
 
 
-def _probe_conjecture(N=256):
+def _probe_conjecture():
+    N = 256
     report = oracle.conjecture_probe(N)
     # the stated band bounds the deficit N^2/pi - Im_max = -c_estimate
     ok = (
@@ -331,7 +333,8 @@ def _probe_conjecture(N=256):
     }
 
 
-def _probe_theorem(n_values=(16, 64, 256), points=256):
+def _probe_theorem():
+    n_values, points = (16, 64, 256), 256
     t = np.linspace(0.0, 3.0, points)
     report = oracle.theorem_legsd_convergence(list(n_values), t)
     strict = all(
@@ -355,7 +358,8 @@ def _probe_legendre():
     }
 
 
-def _probe_duality(count, seed):
+def _probe_duality(seed):
+    count = 10
     rng = np.random.default_rng(seed)
     worst_scan = 0.0
     worst_fft = 0.0
@@ -383,7 +387,8 @@ def _probe_duality(count, seed):
     }
 
 
-def _probe_stability(draws, seed):
+def _probe_stability(seed):
+    draws = 10_000
     rng = np.random.default_rng(seed)
     re = -np.exp(rng.uniform(np.log(1e-3), np.log(1e3), draws))
     im = rng.uniform(0.0, 1e4, draws)
@@ -402,7 +407,8 @@ def _probe_stability(draws, seed):
     }
 
 
-def _probe_perturbation(seeds=(3, 13, 26), sigmas=(0.3, 0.4, 0.5), N=64, points=128):
+def _probe_perturbation():
+    seeds, sigmas, N, points = (3, 13, 26), (0.3, 0.4, 0.5), 64, 128
     t = np.linspace(0.0, 3.0, points)
     baseline = np.mean(
         [oracle.perturbation_experiment(0.0, s, N, t)[1] for s in seeds]
@@ -442,8 +448,8 @@ _PROBES = {
     "conjecture": lambda config: _probe_conjecture(),
     "theorem": lambda config: _probe_theorem(),
     "legendre": lambda config: _probe_legendre(),
-    "duality": lambda config: _probe_duality(10, config.seed),
-    "stability": lambda config: _probe_stability(10_000, config.seed),
+    "duality": lambda config: _probe_duality(config.seed),
+    "stability": lambda config: _probe_stability(config.seed),
     "perturbation": lambda config: _probe_perturbation(),
     "dss": lambda config: _probe_dss(config.seed),
 }
@@ -577,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_params(p):
         p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-        p.add_argument("--re-mode", choices=("exp", "relu", "identity"), default=None)
+        p.add_argument("--re-mode", choices=RE_MODES, default=None)
         p.add_argument("--b", choices=("ones", "random"), default=None, dest="b_mode")
 
     def add_disc(p):

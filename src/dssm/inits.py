@@ -13,7 +13,8 @@ from .hippo import hippo_d_spectrum
 
 __all__ = [
     "DiagonalSpec",
-    "RealPartParam",
+    "RE_MODES",
+    "constrain_real_parts",
     "INIT_NAMES",
     "make_init",
     "init_legsd",
@@ -44,7 +45,6 @@ class DiagonalSpec:
     A_half: np.ndarray
     B_half: np.ndarray
     C_half: np.ndarray | None = None
-    name: str = ""
     conj_pairs: bool = True
 
     def __post_init__(self):
@@ -66,47 +66,28 @@ class DiagonalSpec:
         return 2 * self.n_half if self.conj_pairs else self.n_half
 
 
-@dataclass
-class RealPartParam:
-    """Stored real-part parameter with a sign-constraining transform.
+RE_MODES = ("exp", "relu", "identity")
 
-    mode 'exp' gives effective real part -exp(raw) (strictly negative),
-    'relu' gives -max(raw, 0), and 'identity' leaves raw unconstrained.
+
+def constrain_real_parts(A_half: np.ndarray, mode: str) -> np.ndarray:
+    """A_half with each real part re sent through a stored parameter and its
+    sign-constraining transform: S4D's -exp, a relu, or DSS's none.
+
+    'exp' stores log(-re) and returns -exp of it (strictly negative; re must
+    be < 0), 'relu' stores -re and returns -max(-re, 0), and 'identity' keeps
+    re.  The imaginary parts are kept.
     """
-
-    mode: str
-    raw: np.ndarray
-
-    _MODES = ("exp", "relu", "identity")
-
-    def __post_init__(self):
-        if self.mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}")
-        self.raw = np.asarray(self.raw, dtype=float)
-
-    @classmethod
-    def from_real_parts(cls, real_parts: np.ndarray, mode: str = "exp") -> "RealPartParam":
-        real_parts = np.asarray(real_parts, dtype=float)
-        if mode == "exp":
-            if (real_parts >= 0).any():
-                raise ValueError("exp mode requires strictly negative real parts")
-            raw = np.log(-real_parts)
-        elif mode == "relu":
-            raw = -real_parts
-        else:
-            raw = real_parts.copy()
-        return cls(mode=mode, raw=raw)
-
-    def effective(self) -> np.ndarray:
-        if self.mode == "exp":
-            return -np.exp(self.raw)
-        if self.mode == "relu":
-            return -np.maximum(self.raw, 0.0)
-        return self.raw.copy()
-
-    def apply(self, A_half: np.ndarray) -> np.ndarray:
-        """Replace the real parts of A_half with the constrained values."""
-        return self.effective() + 1j * np.asarray(A_half).imag
+    A_half = np.asarray(A_half, dtype=complex)
+    re = A_half.real
+    if mode == "exp":
+        if (re >= 0).any():
+            raise ValueError("exp mode requires strictly negative real parts")
+        re = -np.exp(np.log(-re))
+    elif mode == "relu":
+        re = -np.maximum(-re, 0.0)
+    elif mode != "identity":
+        raise ValueError(f"mode must be one of {RE_MODES}")
+    return re + 1j * A_half.imag
 
 
 def _even(N: int) -> int:
@@ -115,14 +96,8 @@ def _even(N: int) -> int:
     return N // 2
 
 
-def _spec(name: str, a_half: np.ndarray, conj_pairs: bool = True) -> DiagonalSpec:
-    a_half = np.asarray(a_half, dtype=complex)
-    return DiagonalSpec(
-        A_half=a_half,
-        B_half=np.ones(len(a_half), dtype=complex),
-        name=name,
-        conj_pairs=conj_pairs,
-    )
+def _spec(a_half: np.ndarray, conj_pairs: bool = True) -> DiagonalSpec:
+    return DiagonalSpec(A_half=a_half, B_half=np.ones(len(a_half)), conj_pairs=conj_pairs)
 
 
 def init_legsd(N: int) -> DiagonalSpec:
@@ -131,7 +106,7 @@ def init_legsd(N: int) -> DiagonalSpec:
     values = hippo_d_spectrum(N)[:half]
     if not (values.imag > 0).all():
         raise ValueError(f"no positive-imaginary half-spectrum at N={N}")
-    return _spec("legsd", values)
+    return _spec(values)
 
 
 def _inv_from_positions(N: int, u: np.ndarray) -> np.ndarray:
@@ -145,27 +120,27 @@ def _lin_from_positions(u: np.ndarray) -> np.ndarray:
 def init_inv(N: int) -> DiagonalSpec:
     """Inverse-law imaginary parts: A_n = -1/2 + i (N/pi) (N/(2n+1) - 1)."""
     half = _even(N)
-    return _spec("inv", _inv_from_positions(N, np.arange(half, dtype=float)))
+    return _spec(_inv_from_positions(N, np.arange(half, dtype=float)))
 
 
 def init_lin(N: int) -> DiagonalSpec:
     """Linear-law imaginary parts: A_n = -1/2 + i pi n."""
     half = _even(N)
-    return _spec("lin", _lin_from_positions(np.arange(half, dtype=float)))
+    return _spec(_lin_from_positions(np.arange(half, dtype=float)))
 
 
 def init_inv2(N: int) -> DiagonalSpec:
     """Inverse law with n+1 denominator: A_n = -1/2 + i (N/pi) (N/(n+1) - 1)."""
     half = _even(N)
     n = np.arange(half, dtype=float)
-    return _spec("inv2", -0.5 + 1j * (N / np.pi) * (N / (n + 1.0) - 1.0))
+    return _spec(-0.5 + 1j * (N / np.pi) * (N / (n + 1.0) - 1.0))
 
 
 def init_quad(N: int) -> DiagonalSpec:
     """Quadratic-law imaginary parts: A_n = -1/2 + i (1+2n)^2 / pi."""
     half = _even(N)
     n = np.arange(half, dtype=float)
-    return _spec("quad", -0.5 + 1j * (1.0 + 2.0 * n) ** 2 / np.pi)
+    return _spec(-0.5 + 1j * (1.0 + 2.0 * n) ** 2 / np.pi)
 
 
 def init_real(N: int) -> DiagonalSpec:
@@ -173,7 +148,7 @@ def init_real(N: int) -> DiagonalSpec:
     if N < 1:
         raise ValueError("state size must be >= 1")
     n = np.arange(N, dtype=float)
-    return _spec("real", -(n + 1.0) + 0j, conj_pairs=False)
+    return _spec(-(n + 1.0) + 0j, conj_pairs=False)
 
 
 def init_rand(N: int, seed: int) -> DiagonalSpec:
@@ -185,7 +160,7 @@ def init_rand(N: int, seed: int) -> DiagonalSpec:
     half = _even(N)
     rng = np.random.default_rng(seed)
     values = -rng.uniform(0.0, 1.0, half) + 1j * rng.uniform(0.0, N * np.pi / 2.0, half)
-    return _spec("rand", values)
+    return _spec(values)
 
 
 def init_inv_random_imag(N: int, seed: int) -> DiagonalSpec:
@@ -200,7 +175,7 @@ def init_inv_random_imag(N: int, seed: int) -> DiagonalSpec:
     u = rng.uniform(0.0, N / 2.0, half)
     values = _inv_from_positions(N, u)
     values = values.real + 1j * np.maximum(values.imag, 0.0)
-    return _spec("inv-rimag", values)
+    return _spec(values)
 
 
 def init_lin_random_imag(N: int, seed: int) -> DiagonalSpec:
@@ -211,7 +186,7 @@ def init_lin_random_imag(N: int, seed: int) -> DiagonalSpec:
     half = _even(N)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, N / 2.0, half)
-    return _spec("lin-rimag", _lin_from_positions(u))
+    return _spec(_lin_from_positions(u))
 
 
 def init_random_real(spec: DiagonalSpec, seed: int) -> DiagonalSpec:
@@ -222,7 +197,6 @@ def init_random_real(spec: DiagonalSpec, seed: int) -> DiagonalSpec:
         A_half=re + 1j * spec.A_half.imag,
         B_half=spec.B_half.copy(),
         C_half=None if spec.C_half is None else spec.C_half.copy(),
-        name=f"{spec.name}-rreal" if spec.name else "rreal",
         conj_pairs=spec.conj_pairs,
     )
 

@@ -282,7 +282,7 @@ def fout_truncation_basis(N: int, t_grid: np.ndarray) -> np.ndarray:
     if half < 1:
         raise ValueError("need N >= 2")
     a = 2j * np.pi * np.arange(half)
-    spec = DiagonalSpec(A_half=a, B_half=np.ones(half, dtype=complex), name="fout-trunc")
+    spec = DiagonalSpec(A_half=a, B_half=np.ones(half, dtype=complex))
     return sample_basis(spec, t_grid)
 
 
@@ -296,7 +296,6 @@ def random_stable_spec(rng: np.random.Generator, n_half: int | None = None) -> t
         A_half=re + 1j * im,
         B_half=np.ones(n_half, dtype=complex),
         C_half=rng.standard_normal(n_half) + 1j * rng.standard_normal(n_half),
-        name="random",
     )
     dt = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e-1))))
     return spec, dt

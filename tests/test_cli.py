@@ -646,7 +646,7 @@ def test_stored_field_budget():
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
               for cls in (Kernel, DiagonalSpec, DenseSpec)}
     assert fields == {"Kernel": ["values"],
-                      "DiagonalSpec": ["A_half", "B_half", "C_half", "name", "conj_pairs"],
+                      "DiagonalSpec": ["A_half", "B_half", "C_half", "conj_pairs"],
                       "DenseSpec": ["A", "B", "C"]}
 
 

@@ -28,12 +28,11 @@ def manual_disc(a_bar, b_bar, rule="bilinear", dt=0.1):
     )
 
 
-def one_pair_spec(name="pair"):
+def one_pair_spec():
     return DiagonalSpec(
         A_half=np.array([-0.5 + 1j]),
         B_half=np.ones(1, dtype=complex),
         C_half=np.ones(1, dtype=complex),
-        name=name,
     )
 
 
@@ -262,7 +261,6 @@ class TestDssSoftmaxKernel:
             A_half=spec.A_half,
             B_half=spec.B_half,
             C_half=spec.C_half / row_sums,
-            name=spec.name,
         )
         reference = vandermonde_kernel(rescaled, disc, L)
         scale = np.abs(reference.values).max()

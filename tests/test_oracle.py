@@ -45,9 +45,7 @@ class TestDenseKernel:
         a_full = np.concatenate([half.A_half, np.conj(half.A_half)])
         b_full = np.concatenate([half.B_half, np.conj(half.B_half)])
         c_full = np.concatenate([half.C_half, np.conj(half.C_half)])
-        full = DiagonalSpec(
-            A_half=a_full, B_half=b_full, C_half=c_full, name="full", conj_pairs=False
-        )
+        full = DiagonalSpec(A_half=a_full, B_half=b_full, C_half=c_full, conj_pairs=False)
         disc = discretize(a_full, b_full, dt, "bilinear")
         diag_kernel = vandermonde_kernel(full, disc, 64)
         dense = DenseSpec(A=np.diag(a_full), B=b_full, C=c_full)

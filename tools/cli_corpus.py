@@ -76,6 +76,12 @@ def _corpus() -> list[tuple[dict, list[str]]]:
                  "--dt", "0.01"]),
         (plain, ["conv", "--input", "u65.csv", "--mode", "fft", "--init", "inv-rimag",
                  "--N", "16"]),
+        # the real-part transforms no preset selects: relu, and identity under bilinear
+        (plain, ["kernel", "--re-mode", "relu", "--init", "rand", "--N", "16", "--L", "65",
+                 "--dt", "0.01"]),
+        (plain, ["basis", "--re-mode", "relu", "--init", "lin", "--N", "8", "--points", "5"]),
+        (plain, ["kernel", "--re-mode", "identity", "--disc", "bilinear", "--init", "inv",
+                 "--N", "16", "--L", "65", "--dt", "0.01"]),
         (plain, ["spectrum", "--all", "--N", "64"]),
         (plain, ["spectrum", "--all", "--N", "64", "--format", "json"]),
         (plain, ["spectrum", "--init", "legsd", "--N", "256"]),
