@@ -174,15 +174,17 @@ def discretize_bilinear(A: np.ndarray, B: np.ndarray, dt: float) -> DiscretePara
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
-    """(exp(z) - 1) / z with a series branch near zero to avoid cancellation."""
+    """(exp(z) - 1) / z as expm1(z) / z, and 1 at z = 0.
+
+    The complex expm1 comes from real functions, expm1(x + iy) =
+    expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 1.14.1), so nothing cancels
+    at small |z|.
+    """
     z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-8
-    zs = z[small]
-    out[small] = 1.0 + zs / 2.0 + zs**2 / 6.0 + zs**3 / 24.0
-    zb = z[~small]
-    out[~small] = (np.exp(zb) - 1.0) / zb
-    return out
+    x, y = z.real, z.imag
+    expm1 = np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2 + 1j * np.exp(x) * np.sin(y)
+    return np.divide(expm1, z, out=np.ones_like(z), where=z != 0)
 
 
 def discretize_zoh(A: np.ndarray, B: np.ndarray, dt: float) -> DiscreteParams:

@@ -133,27 +133,32 @@ def vandermonde_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kern
     return _kernel(spec, disc, L, _weights(spec, disc))
 
 
-def _int_power(a: np.ndarray, exponent: int) -> np.ndarray:
-    """Elementwise a**exponent by binary exponentiation (exact integer power)."""
-    result = np.ones_like(a)
-    base = a.copy()
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
+def _geometric_sums(a: np.ndarray, L: int) -> np.ndarray:
+    """sum_{l<L} a^l = (a^L - 1)/(a - 1), or L where a = 1, without cancellation.
+
+    a^L - 1 comes by binary powering on offsets from 1: with q = a^m - 1 for
+    the bits of L taken so far and b = a^(2^k) - 1, a set bit makes q + b + q b
+    and a squaring b (2 + b).  d = a - 1 is exact near 1 (Sterbenz's lemma),
+    so this is the geometric sum of the stored a.
+    """
+    d = a - 1.0
+    q, b, bits = np.zeros_like(d), d, L
+    while bits:
+        if bits & 1:
+            q = q + b + q * b
+        bits >>= 1
+        if bits:
+            b = b * (2.0 + b)
+    return np.divide(q, d, out=np.full_like(d, L), where=d != 0)
 
 
 def dss_softmax_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kernel:
     """Kernel with each mode normalized by its length-L geometric row sum.
 
-    Row sums use the closed form (A_bar^L - 1)/(A_bar - 1), switching to a
-    binomial series when A_bar is within 1e-8 of 1.  Requires the zero-order
-    hold discretization; the normalization makes the kernel depend on L
-    globally, so kernels of different lengths are not prefix-consistent.
+    Row sums are (A_bar^L - 1)/(A_bar - 1), one formula for every A_bar
+    (see _geometric_sums).  Requires the zero-order hold discretization; the
+    normalization makes the kernel depend on L globally, so kernels of
+    different lengths are not prefix-consistent.
     """
     if disc.rule != "zoh":
         raise ValueError(
@@ -162,20 +167,7 @@ def dss_softmax_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kern
     if L < 1:
         raise ValueError("kernel length must be >= 1")
     w = _weights(spec, disc)
-    a = disc.A_bar
-
-    near_one = np.abs(a - 1.0) < 1e-8
-    row_sums = np.empty_like(a)
-    far = ~near_one
-    row_sums[far] = (_int_power(a[far], L) - 1.0) / (a[far] - 1.0)
-    if near_one.any():
-        d = a[near_one] - 1.0
-        row_sums[near_one] = L * (
-            1.0
-            + (L - 1.0) / 2.0 * d
-            + (L - 1.0) * (L - 2.0) / 6.0 * d**2
-            + (L - 1.0) * (L - 2.0) * (L - 3.0) / 24.0 * d**3
-        )
+    row_sums = _geometric_sums(disc.A_bar, L)
     degenerate = np.abs(row_sums) < 1e-14 * L
     if degenerate.any():
         raise ValueError(

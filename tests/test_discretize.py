@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dssm.discretize import (
+    _phi1,
     dense_matrix_exp,
     discretize,
     discretize_bilinear,
@@ -81,27 +82,37 @@ class TestZoh:
         np.testing.assert_allclose(disc.B_bar, [1.0 - np.exp(-1.0)], rtol=1e-14)
 
     def test_series_limit_near_zero(self):
-        A = np.array([-1e-12])
-        B = np.array([2.0])
+        A = np.array([-1e-12, 0.0])
+        B = np.array([2.0, 2.0])
         disc = discretize_zoh(A, B, 0.5)
-        np.testing.assert_allclose(disc.A_bar, [1.0], atol=1e-12)
-        np.testing.assert_allclose(disc.B_bar, [0.5 * 2.0], rtol=1e-12)
+        np.testing.assert_allclose(disc.A_bar, [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(disc.B_bar, [0.5 * 2.0, 0.5 * 2.0], rtol=1e-12)
 
-    def test_series_branch_accuracy_at_switch(self):
-        # reference: 6-term series, exact to eps for |z| ~ 1e-8
+    def test_small_z_matches_taylor_series(self):
+        # either side of |z| = 1e-8, where (e^z - 1)/z taken directly keeps only
+        # half its digits; reference: 6-term series, exact to eps for |z| ~ 1e-8
         def phi1_reference(z):
             return 1 + z / 2 + z**2 / 6 + z**3 / 24 + z**4 / 120 + z**5 / 720
 
-        inside = np.array([-0.99e-8], dtype=complex)
-        outside = np.array([-1.01e-8], dtype=complex)
-        np.testing.assert_allclose(
-            discretize_zoh(inside, np.ones(1), 1.0).B_bar, phi1_reference(inside), rtol=1e-14
-        )
-        # the direct branch carries the cancellation error eps/|z| ~ 2e-8,
-        # which is the reason the series switch exists at all
-        np.testing.assert_allclose(
-            discretize_zoh(outside, np.ones(1), 1.0).B_bar, phi1_reference(outside), rtol=5e-8
-        )
+        for z in (-0.99e-8, -1.01e-8):
+            z = np.array([z], dtype=complex)
+            np.testing.assert_allclose(
+                discretize_zoh(z, np.ones(1), 1.0).B_bar, phi1_reference(z), rtol=1e-14
+            )
+
+    def test_phi1_relative_accuracy_over_left_half_plane(self):
+        # |z| from 1e-300 to 700, real and complex; reference: a 20-term
+        # Taylor series for |z| <= 0.1, the direct (e^z - 1)/z above, where
+        # its cancellation costs at most a few eps
+        rng = np.random.default_rng(3)
+        magnitudes = np.logspace(-300, np.log10(700.0), 3001)
+        angles = rng.uniform(np.pi / 2, 3 * np.pi / 2, magnitudes.size)
+        z = np.concatenate([-magnitudes, magnitudes * np.exp(1j * angles)]).astype(complex)
+        series = np.ones_like(z)
+        for k in range(20, 0, -1):
+            series = 1.0 + series * z / (k + 1)
+        reference = np.where(np.abs(z) <= 0.1, series, (np.exp(z) - 1.0) / z)
+        np.testing.assert_allclose(_phi1(z), reference, rtol=1e-14, atol=0.0)
 
     def test_dense_legs_matches_taylor_oracle(self):
         legs, _ = make_hippo_legs(4)

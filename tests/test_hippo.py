@@ -125,6 +125,21 @@ class TestHermitianEigendecompose:
             residual = np.abs(H @ V - V @ np.diag(values)).max()
             assert residual <= 10 * 1e-12 * np.abs(H).max()
 
+    def test_split_tridiagonal_orthogonality(self):
+        # zeroed off-diagonals leave eigenvalue pairs just outside the 1e-3
+        # reorthogonalization clusters, where the stopping residual alone
+        # bounds orthogonality only by about 1e-12 / gap
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(2, 96))
+            d = rng.standard_normal(n)
+            e = rng.standard_normal(n - 1)
+            e[rng.uniform(size=n - 1) < rng.uniform(0.0, 0.8)] = 0.0
+            T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            values, V = hermitian_eigendecompose(T)
+            assert np.abs(V.conj().T @ V - np.eye(n)).max() <= 1e-12
+            assert np.abs(T @ V - V * values).max() <= 1e-12 * np.abs(T).max()
+
     def test_eigenvalues_are_real_float64(self):
         values, _ = hermitian_eigendecompose(H8)
         assert values.dtype == np.float64

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -281,11 +283,23 @@ class TestDssSoftmaxKernel:
             dss_softmax_kernel(spec, disc, 16)
 
     def test_unit_mode_row_sum_is_length(self):
-        # A_bar exactly 1 hits the series branch, which gives row sum L
+        # A_bar exactly 1: every A_bar^l is 1, so the row sum is L
         spec = one_pair_spec()
         disc = manual_disc([1.0], [1.0], rule="zoh")
         kernel = dss_softmax_kernel(spec, disc, 32)
         np.testing.assert_allclose(kernel.values, np.full(32, 2.0 / 32.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("z", [-1.01e-8 + 3e-9j, -1.2e-8, -1e-7 + 5e-8j])
+    def test_row_sum_near_one_matches_binomial_series(self, z):
+        # |a - 1| just above 1e-8, where the closed form (a^L - 1)/(a - 1)
+        # cancels: sum_l a^l = sum_k C(L, k+1) d^k with d = a - 1, and eight
+        # terms are exact to eps here because |L d| < 1e-3
+        L = 4096
+        disc = manual_disc([np.exp(z)], [1.0], rule="zoh")
+        d = disc.A_bar[0] - 1.0
+        row_sum = sum(math.comb(L, k + 1) * d**k for k in range(8))
+        K0 = dss_softmax_kernel(one_pair_spec(), disc, L).values[0]
+        np.testing.assert_allclose(K0, 2.0 * (1.0 / row_sum).real, rtol=1e-13, atol=0.0)
 
     def test_degenerate_row_rejected(self):
         # A_bar a nontrivial L-th root of unity makes the geometric sum vanish

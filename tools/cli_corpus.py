@@ -82,6 +82,14 @@ def _corpus() -> list[tuple[dict, list[str]]]:
         (plain, ["basis", "--re-mode", "relu", "--init", "lin", "--N", "8", "--points", "5"]),
         (plain, ["kernel", "--re-mode", "identity", "--disc", "bilinear", "--init", "inv",
                  "--N", "16", "--L", "65", "--dt", "0.01"]),
+        # ZOH and the DSS row sums at dt |A| from 1e-9 to 1e-5, where a closed form
+        # of exp(dt A) - 1 or A_bar^L - 1 would cancel
+        (plain, ["kernel", "--preset", "s4d-zoh", "--init", "legsd", "--N", "8", "--L", "65",
+                 "--dt", "1e-9"]),
+        (plain, ["kernel", "--preset", "dss", "--init", "lin", "--N", "64", "--L", "65",
+                 "--dt", "1e-8"]),
+        (plain, ["conv", "--input", "u65.csv", "--mode", "scan", "--preset", "s4d-zoh",
+                 "--init", "inv", "--N", "8", "--dt", "1e-5"]),
         (plain, ["spectrum", "--all", "--N", "64"]),
         (plain, ["spectrum", "--all", "--N", "64", "--format", "json"]),
         (plain, ["spectrum", "--init", "legsd", "--N", "256"]),
