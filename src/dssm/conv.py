@@ -14,9 +14,9 @@ The per-sample loop stays as the private reference `_sequential_scan`; the
 scan builds its own tables, so the kernel-vs-scan oracles stay independent.
 
 The FFT is a local power-of-two four-step transform (matmuls with a cached
-32-point DFT matrix and twiddle tables) with a Bluestein fallback for
-arbitrary lengths; the inverse runs the same steps with the conjugated
-tables.  Both routes reject a non-finite input sample.
+32-point DFT matrix and twiddle tables); the inverse runs the same steps
+with the conjugated tables.  Both the convolution and the scan reject a
+non-finite input sample.
 """
 
 import functools
@@ -31,8 +31,6 @@ from .kernel import PAIR_OUTPUT_WEIGHT, Kernel
 __all__ = [
     "Signal",
     "RecurrentState",
-    "radix_fft",
-    "radix_ifft",
     "fft_causal_conv",
     "recurrent_scan",
 ]
@@ -121,53 +119,19 @@ def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
     return _fft_pow2(y, inverse).swapaxes(-1, -2).reshape(x.shape)
 
 
-def _bluestein(x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    k = np.arange(n, dtype=np.int64)
-    # k^2 mod 2n keeps the chirp angles small and exactly representable.
-    half_squares = (k * k) % (2 * n)
-    chirp = np.exp(-1j * np.pi * half_squares / n)
-    m = 1 << (2 * n - 1).bit_length()
-    a = np.zeros(m, dtype=complex)
-    a[:n] = x * chirp
-    b = np.zeros(m, dtype=complex)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1 :] = np.conj(chirp[n - 1 : 0 : -1])
-    return radix_ifft(_fft_pow2(a) * _fft_pow2(b))[:n] * chirp
-
-
-def radix_fft(x: np.ndarray) -> np.ndarray:
-    """Forward DFT of a 1-D sequence of any length."""
-    x = np.asarray(x)
-    if x.ndim != 1 or len(x) == 0:
-        raise ValueError("input must be a non-empty 1-D array")
-    n = len(x)
-    if n & (n - 1) == 0:
-        return _fft_pow2(x)
-    return _bluestein(x)
-
-
-def radix_ifft(x: np.ndarray) -> np.ndarray:
-    """Inverse DFT; radix_ifft(radix_fft(x)) recovers x to round-off."""
-    x = np.asarray(x)
-    if x.ndim != 1 or len(x) == 0:
-        raise ValueError("input must be a non-empty 1-D array")
-    n = len(x)
-    if n & (n - 1) == 0:
-        return _fft_pow2(x, inverse=True) / n
-    return np.conj(_bluestein(np.conj(x))) / n
-
-
 def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     """Causal convolution y_l = sum_{j<=l} K_j u_{l-j} via zero-padded FFTs.
 
     Transforms use the next power of two >= 2L, so linear (not circular)
     convolution is recovered on the first L outputs.  The imaginary residue
-    is checked against 1e-9 times the output magnitude before discarding.
-    A non-finite input sample is an error: it would turn every output of its
-    row into NaN.
+    is checked against 1e-9 times max|u_row| * sum|K|, the bound on |y_l|,
+    before discarding; a bound from the outputs themselves would reject
+    exact outputs that cancel to zero.  A non-finite input sample is an
+    error: it would turn every output of its row into NaN.
     """
     L = K.L
+    if L < 1:
+        raise ValueError("kernel length must be >= 1")
     if u.length != L:
         raise ValueError(f"signal length {u.length} != kernel length {L}")
     m = 1 << (2 * L - 1).bit_length()
@@ -175,6 +139,7 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     kernel_padded[:L] = K.values
     K_f = _fft_pow2(kernel_padded)
     K_f /= m  # the inverse's scaling, exact for a power of two
+    gain = float(np.abs(K.values).sum())
 
     rows = _finite_rows(u)
     out = np.empty_like(rows)
@@ -182,7 +147,7 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
         padded = np.zeros(m)
         padded[:L] = row
         y = _fft_pow2(_fft_pow2(padded) * K_f, inverse=True)[:L]
-        bound = 1e-9 * max(float(np.abs(y.real).max()), np.finfo(float).tiny)
+        bound = 1e-9 * max(float(np.abs(row).max()) * gain, np.finfo(float).tiny)
         if float(np.abs(y.imag).max()) > bound:
             raise ValueError("unexpected imaginary residue in convolution output")
         out[i] = y.real

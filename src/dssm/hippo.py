@@ -240,21 +240,23 @@ def _hermitian_spectrum(H: np.ndarray):
     return np.ldexp(scaled, exponent), scaled, (d, e, phases, reflectors)
 
 
-def hermitian_eigendecompose(
-    H: np.ndarray, tol: float = 1e-12, max_passes: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
+_TOL = 1e-12  # hermitian_eigendecompose's Hermitian check and residual target
+_MAX_PASSES = 100  # its inverse-iteration passes, dstein's two extra included
+
+
+def hermitian_eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a complex Hermitian matrix.
 
     A Householder reduction takes H to a real symmetric tridiagonal T, Sturm
     bisection finds the eigenvalues, and inverse iteration on T finds
-    eigenvectors until every residual |T x - lambda x| is at most tol
+    eigenvectors until every residual |T x - lambda x| is at most _TOL
     relative to the largest input entry; they map back through the reduction.
     Returns (eigenvalues, V): the eigenvalues as a real float64 array sorted
     descending, and the matching unitary eigenvector matrix V (columns in the
     same order), with H @ V ~= V @ diag(eigenvalues).
 
-    Raises ValueError for input that is not Hermitian within tol, and
-    RuntimeError if the residual is still larger after max_passes - 2
+    Raises ValueError for input that is not Hermitian within _TOL, and
+    RuntimeError if the residual is still larger after _MAX_PASSES - 2
     inverse-iteration passes.
     """
     H = np.asarray(H)
@@ -264,10 +266,10 @@ def hermitian_eigendecompose(
     original = np.array(H, dtype=complex)
     scale = float(np.abs(original).max()) if n else 0.0
     defect = float(np.abs(original - original.conj().T).max())
-    if defect > tol * max(1.0, scale):
+    if defect > _TOL * max(1.0, scale):
         raise ValueError("input is not Hermitian within tolerance")
     values, scaled, (d, e, phases, reflectors) = _hermitian_spectrum(original)
-    X = _tridiagonal_eigenvectors(d, e, scaled, tol * np.frexp(scale)[0], max_passes)
+    X = _tridiagonal_eigenvectors(d, e, scaled, _TOL * np.frexp(scale)[0], _MAX_PASSES)
     V = phases[:, None] * X
     for k, v in reversed(reflectors):
         V[k + 1 :] -= np.outer(2.0 * v, v.conj() @ V[k + 1 :])

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib
 import json
 import warnings
 
@@ -648,6 +649,16 @@ def test_stored_field_budget():
     assert fields == {"Kernel": ["values"],
                       "DiagonalSpec": ["A_half", "B_half", "C_half", "conj_pairs"],
                       "DenseSpec": ["A", "B", "C"]}
+
+
+def test_public_api_budget():
+    """Names in each library module's `__all__`.  perfbench traces exactly
+    the functions these lists name, so a name added or removed here adds or
+    removes a traced span as well as public surface."""
+    counts = {name: len(importlib.import_module(f"dssm.{name}").__all__)
+              for name in ("hippo", "inits", "discretize", "kernel", "conv", "oracle")}
+    assert counts == {"hippo": 5, "inits": 17, "discretize": 7, "kernel": 6, "conv": 4,
+                      "oracle": 15}
 
 
 def test_state_size_is_derived():

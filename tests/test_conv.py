@@ -6,22 +6,15 @@ import pytest
 from dssm.conv import (
     RecurrentState,
     Signal,
+    _fft_pow2,
     _sequential_scan,
     fft_causal_conv,
-    radix_fft,
-    radix_ifft,
     recurrent_scan,
 )
 from dssm.discretize import RULES, DiscreteParams, discretize
 from dssm.inits import make_init
 from dssm.kernel import Kernel, vandermonde_kernel
 from dssm.oracle import random_stable_spec
-
-
-def direct_dft(x):
-    n = len(x)
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) @ np.asarray(x, dtype=complex)
 
 
 def direct_causal_conv(u, k):
@@ -36,40 +29,34 @@ def as_kernel(values):
     return Kernel(np.asarray(values, dtype=float))
 
 
-class TestRadixFft:
+class TestFftPow2:
     def test_dc_bin(self):
         c = 0.7 - 0.2j
-        out = radix_fft(np.full(8, c))
+        out = _fft_pow2(np.full(8, c))
         np.testing.assert_allclose(out[0], 8 * c, rtol=1e-14)
         np.testing.assert_allclose(out[1:], np.zeros(7), atol=1e-13)
 
-    @pytest.mark.parametrize("n", [1, 2, 16, 12, 257, 1000, 2**16])
+    @pytest.mark.parametrize("n", [1 << k for k in range(17)])
     def test_round_trip(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        back = radix_ifft(radix_fft(x))
+        back = _fft_pow2(_fft_pow2(x), inverse=True) / n
         assert np.abs(back - x).max() <= 1e-12 * max(np.abs(x).max(), 1.0)
 
-    # 1, 2 and 32: one matmul; 64 and 1024: one four-step level; others: Bluestein
-    @pytest.mark.parametrize("n", [1, 2, 3, 12, 31, 32, 33, 64, 257, 1024])
-    def test_against_direct_dft(self, n):
+    # 1, 2 and 32: one matmul; 64 and 1024: one four-step level; 2^16: three
+    @pytest.mark.parametrize("n", [1, 2, 32, 64, 1024, 2**16])
+    def test_against_numpy_fft_oracle(self, n):
         rng = np.random.default_rng(n + 1)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        np.testing.assert_allclose(radix_fft(x), direct_dft(x), atol=1e-10)
+        expected = np.fft.fft(x)
+        assert np.abs(_fft_pow2(x) - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    # powers of two run the four-step with conjugated tables; 12 and 1000 are Bluestein
-    @pytest.mark.parametrize("n", [*(1 << k for k in range(14)), 12, 1000])
+    @pytest.mark.parametrize("n", [1 << k for k in range(14)])
     def test_inverse_is_conjugated_forward(self, n):
         rng = np.random.default_rng(n + 2)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        expected = np.conj(radix_fft(np.conj(x))) / n
-        assert radix_ifft(x).tobytes() == expected.tobytes()
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            radix_fft(np.empty(0))
-        with pytest.raises(ValueError):
-            radix_ifft(np.empty(0))
+        expected = np.conj(_fft_pow2(np.conj(x)))
+        assert _fft_pow2(x, inverse=True).tobytes() == expected.tobytes()
 
 
 class TestFftCausalConv:
@@ -116,6 +103,22 @@ class TestFftCausalConv:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             fft_causal_conv(Signal(np.zeros(32)), as_kernel(np.zeros(16)))
+
+    @pytest.mark.parametrize("L", [2, 7, 100, 4096])
+    def test_output_that_cancels_to_zero(self, L):
+        # K_0 = 0 and only the last input sample nonzero: every exact output
+        # is zero, so the residue must be judged against |u| * sum|K|, not |y|
+        rng = np.random.default_rng(L)
+        k = rng.standard_normal(L)
+        k[0] = 0.0
+        u = np.zeros(L)
+        u[-1] = 1.0
+        out = fft_causal_conv(Signal(u), as_kernel(k)).samples
+        assert np.abs(out).max() <= 1e-12 * np.abs(k).sum()
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="kernel length must be >= 1"):
+            fft_causal_conv(Signal(np.zeros(0)), as_kernel(np.zeros(0)))
 
     def test_causality(self):
         rng = np.random.default_rng(23)
