@@ -68,10 +68,6 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -92,7 +88,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _csv_text(meta: dict, header: list[str], row_format: str, rows) -> str:
     """Metadata comments, the header, then each row tuple formatted by
-    `row_format` (its '%.17g', like `_fmt`, round-trips a double)."""
+    `row_format` (its '%.17g' round-trips a double)."""
     lines = [f"# {key}: {value}\n" for key, value in meta.items()]
     lines.append(",".join(header) + "\n")
     lines += [row_format % row for row in rows]
@@ -113,8 +109,9 @@ def read_signal_csv(path: str) -> np.ndarray:
     """Read a single-channel 'l,value' CSV, ignoring '#' comment lines.
 
     Only the first non-comment row may be a header (its l field is not an
-    integer).  Every other row must carry l = 0, 1, 2, ... in order and a
-    finite value; anything else is a UsageError naming the row.
+    integer).  Every other row must carry exactly two fields, l = 0, 1, 2,
+    ... in order and a finite value; anything else is a UsageError naming
+    the row.
     """
     values = []
     first = True
@@ -130,7 +127,7 @@ def read_signal_csv(path: str) -> np.ndarray:
                     int(parts[0])
                 except ValueError:
                     continue  # header row
-            if len(parts) < 2:
+            if len(parts) != 2:
                 raise _row_error("malformed row", path, lineno, line)
             try:
                 index = int(parts[0])
@@ -201,15 +198,10 @@ def _system_meta(config: argparse.Namespace, disc: DiscreteParams) -> dict:
         "init": config.init,
         "rule": disc.rule,
         "N": config.N,
-        "dt": _fmt(disc.dt),
+        "dt": "%.17g" % disc.dt,
         "L": config.L,
         "seed": config.seed,
     }
-
-
-def _kernel_meta(config: argparse.Namespace, disc: DiscreteParams) -> dict:
-    return _system_meta(config, disc) | {
-        "re_mode": config.re_mode, "b_mode": config.b_mode, "softmax": config.softmax}
 
 
 def cmd_kernel(config: argparse.Namespace) -> int:
@@ -219,8 +211,9 @@ def cmd_kernel(config: argparse.Namespace) -> int:
         spec, disc = build_system(config)
         kernel = _system_kernel(config, spec, disc)
     _require_finite(kernel.values, "kernel")
-    text = _csv_text(_kernel_meta(config, disc), ["l", "value"], "%d,%.17g\n",
-                     enumerate(kernel.values.tolist()))
+    meta = _system_meta(config, disc) | {
+        "re_mode": config.re_mode, "b_mode": config.b_mode, "softmax": config.softmax}
+    text = _csv_text(meta, ["l", "value"], "%d,%.17g\n", enumerate(kernel.values.tolist()))
     _write_text(config.output, text)
     return 0
 
@@ -486,7 +479,7 @@ def _auxiliary_peak_bytes(compute) -> int:
 
 def _bench_cell(config: argparse.Namespace, N: int, L: int):
     # the bench always times the plain Vandermonde kernel
-    cell = argparse.Namespace(**(vars(config) | {"N": N, "L": L, "softmax": False}))
+    cell = argparse.Namespace(**(vars(config) | {"N": N}))
     with np.errstate(over="ignore", invalid="ignore"):  # see cmd_kernel
         spec, disc = build_system(cell)
 
@@ -501,10 +494,6 @@ def _bench_cell(config: argparse.Namespace, N: int, L: int):
     def one_chunk(spec, disc, L):
         return _kernel(spec, disc, L, _weights(spec, disc), chunk=L)
 
-    def csv(kernel):
-        rows = enumerate(kernel.values.tolist())
-        return _csv_text(_kernel_meta(cell, disc), ["l", "value"], "%d,%.17g\n", rows)
-
     k_str, t_str, alloc_str = run(vandermonde_kernel)
     _require_finite(k_str.values, "kernel")
     k_one, t_one, alloc_one = run(one_chunk)
@@ -515,7 +504,7 @@ def _bench_cell(config: argparse.Namespace, N: int, L: int):
         "time_one_chunk": t_one,
         "alloc_streaming": alloc_str,
         "alloc_one_chunk": alloc_one,
-        "identical_csv": csv(k_str) == csv(k_one),
+        "identical_csv": k_str.values.tobytes() == k_one.values.tobytes(),
     }
 
 

@@ -50,7 +50,7 @@ def lu_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("LU factorization needs a square matrix")
     piv = np.arange(n)
     scale = max(float(np.abs(A).max()), np.finfo(float).tiny)
-    for k in range(n - 1):
+    for k in range(n):
         i = int(np.argmax(np.abs(A[k:, k]))) + k
         if i != k:
             A[[k, i], :] = A[[i, k], :]
@@ -60,8 +60,6 @@ def lu_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("matrix is singular to working precision")
         A[k + 1 :, k] /= pivot
         A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
-    if abs(A[n - 1, n - 1]) <= n * np.finfo(float).eps * scale:
-        raise ValueError("matrix is singular to working precision")
     return A, piv
 
 
@@ -144,30 +142,34 @@ def _as_system(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, bo
 def discretize_bilinear(A: np.ndarray, B: np.ndarray, dt: float) -> DiscreteParams:
     """Tustin map: A_bar = (I - dt/2 A)^-1 (I + dt/2 A), B_bar = (I - dt/2 A)^-1 dt B.
 
-    A dense system whose A_bar or B_bar comes out non-finite (dt so large
-    that dt/2 A or dt B overflows) is a ValueError.
+    Both representations evaluate it as A_bar = (s I - h A)^-1 (s I + h A)
+    and B_bar = (s I - h A)^-1 (s dt) B, with s = 2^-max(0, e) for
+    dt/2 = m 2^e (1/2 <= m < 1) and h = s dt/2 < 1.  Scaling by a power of
+    two is exact, so the result has the bits of the unscaled formula
+    wherever that formula does not overflow (|dt/2 A_n| < 2^1020), and no
+    product overflows at any dt: as dt nears the largest double the map
+    tends to its limit A_bar = -I, B_bar = -2 A^-1 B.
+
+    A resolvent s I - h A that is singular to working precision is a
+    ValueError, and so is a dense A_bar or B_bar that comes out non-finite
+    (a B so large that the solve overflows).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     A, B, diagonal = _as_system(A, B)
+    s = 2.0 ** -max(0, math.frexp(dt / 2.0)[1])
+    h = s * (dt / 2.0)
     if diagonal:
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge dt: see below
-            denom = 1.0 - (dt / 2.0) * A
-            if (np.abs(denom) < 1e-300).any():
-                raise ValueError("singular bilinear resolvent: some A_n equals 2/dt")
-            A_bar = (1.0 + (dt / 2.0) * A) / denom
-            B_bar = dt * B / denom
-        # where dt/2 * A or dt * B overflows, the same map divided through by
-        # dt/2, which tends to the dt -> inf limit A_bar = -1, B_bar = -2B/A
-        big = ~(np.isfinite(A_bar) & np.isfinite(B_bar))
-        A_bar[big] = (2.0 / dt + A[big]) / (2.0 / dt - A[big])
-        B_bar[big] = 2.0 * B[big] / (2.0 / dt - A[big])
+        denom = s - h * A
+        if (np.abs(denom) < 1e-300 * s).any():
+            raise ValueError("singular bilinear resolvent: some A_n equals 2/dt")
+        A_bar = (s + h * A) / denom
+        B_bar = (s * dt) * B / denom
     else:
-        n = A.shape[0]
-        eye = np.eye(n, dtype=np.result_type(A.dtype, float))
-        factored = lu_factor(eye - (dt / 2.0) * A)
-        A_bar = lu_solve(factored, eye + (dt / 2.0) * A)
-        B_bar = lu_solve(factored, dt * B)
+        eye = np.eye(A.shape[0], dtype=np.result_type(A.dtype, float))
+        factored = lu_factor(s * eye - h * A)
+        A_bar = lu_solve(factored, s * eye + h * A)
+        B_bar = lu_solve(factored, (s * dt) * B)
         if not (np.isfinite(A_bar).all() and np.isfinite(B_bar).all()):
             raise ValueError(f"bilinear discretization of a dense system overflows at dt={dt}")
     return DiscreteParams(A_bar=A_bar, B_bar=B_bar, rule="bilinear", dt=float(dt))

@@ -179,8 +179,8 @@ def dss_softmax_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kern
 
 
 def _uniform_spacing(t: np.ndarray) -> float | None:
-    if len(t) < 3:
-        return None if len(t) < 2 else float(t[1] - t[0])
+    if len(t) < 2:
+        return None
     steps = np.diff(t)
     h = float(steps[0])
     if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):

@@ -193,7 +193,7 @@ def smoothed_normal_basis(N: int, t_grid: np.ndarray) -> np.ndarray:
     if len(t) < 2:
         raise ValueError("need at least two grid points")
     spacing = _uniform_spacing(t)
-    if spacing is None or not spacing > 0:
+    if spacing is None:
         raise ValueError("t_grid must be uniformly spaced")
     if t[0] != 0.0:
         raise ValueError("grid must start at t=0")

@@ -382,6 +382,7 @@ class TestConvCommand:
             ("l,value\n1,1.0\n", "expected l=0"),
             ("l,value\n0,1.0\nl,value\n1,2.0\n", "unparseable row"),
             ("l,value\n0,1.0\n1\n", "malformed row"),
+            ("l,value\n0,1.0,5.0\n", "malformed row"),
         ],
     )
     def test_invalid_rows_are_usage_errors(self, tmp_path, capsys, text, message):

@@ -61,12 +61,52 @@ class TestBilinear:
         with pytest.raises(ValueError, match="singular"):
             discretize_bilinear(A, np.ones(2), dt)
 
-    def test_dense_overflow_rejected(self):
-        # dt * B overflows: the dense path raises rather than return a nan B_bar
-        A = np.diag([-0.5 + 1j, -0.5 - 1j])
-        B = np.array([2.5 + 0.3j, 2.5 - 0.3j])
+    def test_dense_nonfinite_rejected(self):
+        # 1 - 1.999999/2 = 5e-7, so B_bar = 1e304 / 5e-7 overflows: the dense
+        # path raises rather than return an inf B_bar
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows"):
-            discretize_bilinear(A, B, 1e308)
+            discretize_bilinear(np.diag([1.999999]), np.array([1e304]), 1.0)
+
+    @pytest.mark.parametrize("dt", [3.0, 1e10, 1e307, 1e308, 1.7e308])
+    def test_dense_embedding_matches_diagonal_at_large_dt(self, dt):
+        # no product overflows at any dt, so both representations return the
+        # map, and near the largest double it is the limit -1, -2B/A
+        A = np.concatenate([init_lin(16).A_half, [-1e-3, -1.0, -1e3]])
+        B = np.concatenate([init_lin(16).B_half, [1.0, 2.0, 3.0]])
+        diag = discretize_bilinear(A, B, dt)
+        dense = discretize_bilinear(np.diag(A), B.copy(), dt)
+        np.testing.assert_allclose(dense.A_bar, np.diag(diag.A_bar), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(dense.B_bar, diag.B_bar, rtol=1e-15, atol=0)
+        if dt >= 1e307:
+            np.testing.assert_allclose(diag.A_bar, -1.0, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(diag.B_bar, -2.0 * B / A, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("dt", [1.999, 2.0, 2.001, 8.0, 1e10, 1e300])
+    def test_scaling_keeps_the_bits_of_the_plain_formula(self, dt):
+        # dt = 2 is the first step scaled by s = 1/2; s is a power of two, so
+        # where the unscaled formula does not overflow it gives the same bits
+        A = np.concatenate([init_lin(64).A_half, [-1e-3, -1.0, -1e3]])
+        B = np.concatenate([init_lin(64).B_half, [1.0, 2.0, 3.0]])
+        disc = discretize_bilinear(A, B, dt)
+        denom = 1.0 - (dt / 2.0) * A
+        assert disc.A_bar.tobytes() == ((1.0 + (dt / 2.0) * A) / denom).tobytes()
+        assert disc.B_bar.tobytes() == (dt * B / denom).tobytes()
+
+    def test_scaled_singular_resolvent_rejected(self):
+        # dt = 8: s = 1/8, h = 1/2, and s - h A = 0 at A = 1/4 = 2/dt
+        with pytest.raises(ValueError, match="singular"):
+            discretize_bilinear(np.array([0.25]), np.array([1.0]), 8.0)
+        with pytest.raises(ValueError, match="singular"):
+            discretize_bilinear(np.array([[0.25]]), np.array([1.0]), 8.0)
+
+    def test_scaled_singular_threshold(self):
+        # the threshold scales with s, so the same modes are rejected as by the
+        # unscaled test |1 - dt/2 A| < 1e-300: here |1 - dt/2 A| = 4e-301 and
+        # 4e-300, and the scaled resolvent is 5e-302 and 5e-301
+        with pytest.raises(ValueError, match="singular"):
+            discretize_bilinear(np.array([0.25 + 1e-301j]), np.array([1.0]), 8.0)
+        disc = discretize_bilinear(np.array([0.25 + 1e-300j]), np.array([1.0]), 8.0)
+        assert np.isfinite(disc.A_bar).all() and np.isfinite(disc.B_bar).all()
 
     def test_rule_tag_and_dt_recorded(self):
         disc = discretize_bilinear(np.array([-1.0]), np.array([1.0]), 0.25)

@@ -158,9 +158,9 @@ def reference_kernel(argv, dt, L):
     """The kernel that `dssm kernel` or `dssm conv` with `argv` should use, by
     the dense oracle on the same spec (the conjugate pairs written out as a
     dense diagonal matrix); DSS weights are divided by their row sums
-    sum_l A_bar_n^l.  Where the dense oracle fails (only at the overflow edge
-    dt = 1e308), the closed-form dt -> inf limit stands in: zoh A_bar -> 0,
-    B_bar -> -B/A, and bilinear A_bar -> -1, B_bar -> -2B/A."""
+    sum_l A_bar_n^l.  Where the dense oracle fails (only ZOH at the overflow
+    edge dt = 1e308), the closed-form dt -> inf limit stands in: A_bar -> 0,
+    B_bar -> -B/A."""
     config = _resolve_config(_build_parser().parse_args(argv))
     spec = build_spec(config)
     a, b, c = spec.A_half, spec.B_half, spec.C_half
@@ -168,7 +168,7 @@ def reference_kernel(argv, dt, L):
         a, b, c = (np.concatenate([x, x.conj()]) for x in (a, b, c))
     dense = DenseSpec(A=np.diag(a), B=b, C=c)
     try:
-        # at dt = 1e308 the dense path overflows and raises
+        # at dt = 1e308 the dense ZOH exponential overflows and raises
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if config.softmax:
                 a_bar = np.diag(discretize(dense.A, b, dt, config.disc).A_bar)
@@ -176,8 +176,8 @@ def reference_kernel(argv, dt, L):
             return dense_kernel(dense, config.disc, dt, L).values
     except ValueError:
         pass
-    assert dt == 1e308, "the dense oracle fails only at the overflow edge"
-    a_bar, b_bar = (0.0, -b / a) if config.disc == "zoh" else (-1.0, -2.0 * b / a)
+    assert dt == 1e308 and config.disc == "zoh", "the dense oracle fails only for ZOH at 1e308"
+    a_bar, b_bar = 0.0, -b / a
     powers = a_bar ** np.arange(L)
     if config.softmax:
         c = c / powers.sum()

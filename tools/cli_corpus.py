@@ -56,6 +56,19 @@ def _corpus() -> list[tuple[dict, list[str]]]:
     for mode in ("fft", "scan"):
         runs.append((plain, ["conv", "--input", "u1.csv", "--mode", mode, "--init", "rand",
                              "--N", "8", "--dt", "1e308"]))
+    # bilinear steps with dt/2 >= 1, where the map is scaled by a power of two,
+    # up to a step near the largest double
+    runs.append((plain, ["kernel", "--preset", "s4d", "--init", "legsd", "--N", "64",
+                         "--L", "4097", "--dt", "3"]))
+    runs.append((plain, ["kernel", "--preset", "s4d", "--init", "inv", "--N", "256",
+                         "--L", "65", "--dt", "1e10"]))
+    for mode in ("scan", "fft"):
+        runs.append((plain, ["conv", "--input", "u4097.csv", "--mode", mode, "--preset", "s4d",
+                             "--init", "lin", "--N", "64", "--dt", "8"]))
+    runs.append((plain, ["kernel", "--preset", "s4d", "--init", "lin", "--N", "8", "--L", "1",
+                         "--dt", "1.7e308"]))
+    runs.append((plain, ["basis", "--dense", "normal", "--N", "8", "--points", "2",
+                         "--t-max", "1.7e308"]))
     for name in ("u5000.csv", "u4097.csv"):
         for mode in ("fft", "scan"):
             for preset in ("s4d", "s4d-zoh"):
