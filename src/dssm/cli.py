@@ -17,8 +17,8 @@ rows with 17-significant-digit numbers (lossless double round-trip).  JSON
 reports are lists of {probe, params, metrics, pass}.  Files are written
 atomically (temp file + rename).  Exit codes: 0 success, 1 verification
 failure, 2 usage error, which includes an input row that does not parse, an
-input or output file that cannot be opened, and a kernel or output with a
-non-finite value (nothing is written then).
+input or output file that cannot be opened, an allocation that fails, and a
+kernel or output with a non-finite value (nothing is written then).
 """
 
 import argparse
@@ -64,10 +64,6 @@ PRESETS = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -101,8 +97,8 @@ def _write_json(path: str | None, payload) -> None:
     _write_text(path, text + "\n")
 
 
-def _row_error(problem: str, path: str, lineno: int, line: str) -> UsageError:
-    return UsageError(f"{problem} in {path} line {lineno}: {line!r}")
+def _row_error(problem: str, path: str, lineno: int, line: str) -> ValueError:
+    return ValueError(f"{problem} in {path} line {lineno}: {line!r}")
 
 
 def read_signal_csv(path: str) -> np.ndarray:
@@ -110,7 +106,7 @@ def read_signal_csv(path: str) -> np.ndarray:
 
     Only the first non-comment row may be a header (its l field is not an
     integer).  Every other row must carry exactly two fields, l = 0, 1, 2,
-    ... in order and a finite value; anything else is a UsageError naming
+    ... in order and a finite value; anything else is a ValueError naming
     the row.
     """
     values = []
@@ -140,7 +136,7 @@ def read_signal_csv(path: str) -> np.ndarray:
                 raise _row_error("non-finite sample", path, lineno, line)
             values.append(value)
     if not values:
-        raise UsageError(f"no samples found in {path}")
+        raise ValueError(f"no samples found in {path}")
     return np.asarray(values)
 
 
@@ -148,14 +144,14 @@ def _require_finite(values: np.ndarray, what: str) -> None:
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         where = ",".join(str(i) for i in bad[0])
-        raise UsageError(
+        raise ValueError(
             f"{what} has {len(bad)} non-finite value(s), first at index {where}; nothing written"
         )
 
 
 def _require_positive_finite(value: float, flag: str) -> float:
     if not (math.isfinite(value) and value > 0):
-        raise UsageError(f"{flag} must be finite and positive, got {value}")
+        raise ValueError(f"{flag} must be finite and positive, got {value}")
     return float(value)
 
 
@@ -205,11 +201,8 @@ def _system_meta(config: argparse.Namespace, disc: DiscreteParams) -> dict:
 
 
 def cmd_kernel(config: argparse.Namespace) -> int:
-    # an accepted but extreme flag (--dt 1e308) may overflow on the way; the
-    # _require_finite check on the result reports it, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        spec, disc = build_system(config)
-        kernel = _system_kernel(config, spec, disc)
+    spec, disc = build_system(config)
+    kernel = _system_kernel(config, spec, disc)
     _require_finite(kernel.values, "kernel")
     meta = _system_meta(config, disc) | {
         "re_mode": config.re_mode, "b_mode": config.b_mode, "softmax": config.softmax}
@@ -220,19 +213,18 @@ def cmd_kernel(config: argparse.Namespace) -> int:
 
 def cmd_basis(config: argparse.Namespace) -> int:
     if config.rows < 0:
-        raise UsageError(f"--rows must be nonnegative (0 means all rows), got {config.rows}")
+        raise ValueError(f"--rows must be nonnegative (0 means all rows), got {config.rows}")
     dense = config.dense
-    with np.errstate(over="ignore", invalid="ignore"):  # see cmd_kernel
-        t = np.linspace(0.0, config.t_max, config.points)
-        _require_finite(t, "basis time grid")
-        if dense is None:
-            table = sample_basis(build_spec(config), t)
-        elif dense == "legs":
-            table = sample_basis(make_hippo_legs(config.N)[0], t)
-        elif dense == "normal":
-            table = oracle.smoothed_normal_basis(config.N, t)
-        else:
-            table = sample_basis(make_hippo_normal(config.N), t)
+    t = np.linspace(0.0, config.t_max, config.points)
+    _require_finite(t, "basis time grid")
+    if dense is None:
+        table = sample_basis(build_spec(config), t)
+    elif dense == "legs":
+        table = sample_basis(make_hippo_legs(config.N)[0], t)
+    elif dense == "normal":
+        table = oracle.smoothed_normal_basis(config.N, t)
+    else:
+        table = sample_basis(make_hippo_normal(config.N), t)
     name = config.init if dense is None else f"dense-{dense}"
     values = table[: config.rows or None]
     _require_finite(values, "basis")
@@ -275,14 +267,13 @@ def cmd_conv(config: argparse.Namespace) -> int:
     samples = read_signal_csv(config.input)
     config.L = len(samples)
     signal = Signal(samples=samples)
-    with np.errstate(over="ignore", invalid="ignore"):  # see cmd_kernel
-        spec, disc = build_system(config)
-        if config.mode == "fft":
-            out = fft_causal_conv(signal, _system_kernel(config, spec, disc))
-        elif config.softmax:
-            raise UsageError("softmax normalization has no recurrent form; use --mode fft")
-        else:
-            out, _ = recurrent_scan(disc, spec.C_half, signal, conj_pairs=spec.conj_pairs)
+    spec, disc = build_system(config)
+    if config.mode == "fft":
+        out = fft_causal_conv(signal, _system_kernel(config, spec, disc))
+    elif config.softmax:
+        raise ValueError("softmax normalization has no recurrent form; use --mode fft")
+    else:
+        out, _ = recurrent_scan(disc, spec.C_half, signal, conj_pairs=spec.conj_pairs)
     _require_finite(out.samples, "conv output")
     meta = _system_meta(config, disc) | {"mode": config.mode}
     rows = enumerate(np.atleast_1d(out.samples).tolist())
@@ -454,7 +445,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
     unknown = [name for name in config.probe if name not in _PROBES]
     if unknown:
         names = ", ".join(repr(name) for name in unknown)
-        raise UsageError(f"unknown probe {names} (choose from {PROBES})")
+        raise ValueError(f"unknown probe {names} (choose from {PROBES})")
     reports = [_PROBES[name](config) for name in config.probe]
     _write_json(config.output, reports)
     return 0 if all(r["pass"] for r in reports) else 1
@@ -480,8 +471,7 @@ def _auxiliary_peak_bytes(compute) -> int:
 def _bench_cell(config: argparse.Namespace, N: int, L: int):
     # the bench always times the plain Vandermonde kernel
     cell = argparse.Namespace(**(vars(config) | {"N": N}))
-    with np.errstate(over="ignore", invalid="ignore"):  # see cmd_kernel
-        spec, disc = build_system(cell)
+    spec, disc = build_system(cell)
 
     def run(fn):
         best = float("inf")
@@ -510,10 +500,10 @@ def _bench_cell(config: argparse.Namespace, N: int, L: int):
 
 def cmd_bench(config: argparse.Namespace) -> int:
     if config.repeats < 1:
-        raise UsageError(f"--repeats must be at least 1, got {config.repeats}")
+        raise ValueError(f"--repeats must be at least 1, got {config.repeats}")
     if len({N * L for N in config.N_grid for L in config.L_grid}) < 2:
         # the memory-growth fit needs two problem sizes N*L to have a slope
-        raise UsageError(
+        raise ValueError(
             f"--N-grid and --L-grid need at least two distinct products N*L, "
             f"got {config.N_grid} x {config.L_grid}"
         )
@@ -658,13 +648,13 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         given = [flag for flag, key in stage if getattr(args, key, None) is not None]
         if given and getattr(args, name, None) is not None:  # `--dt 0` is given too
             replaced = ", ".join(flag for flag, _ in stage)
-            raise UsageError(f"--{name} replaces {replaced}; drop {', '.join(given)}")
+            raise ValueError(f"--{name} replaces {replaced}; drop {', '.join(given)}")
     if args.seed is None:
         env = os.environ.get("SSM_SEED")
         try:
             args.seed = int(env) if env else 0
         except ValueError as exc:
-            raise UsageError(f"SSM_SEED must be an integer, got {env!r}") from exc
+            raise ValueError(f"SSM_SEED must be an integer, got {env!r}") from exc
     # --init and the dt range default to None so that a replaced one shows as given
     defaults = PRESETS[getattr(args, "preset", None) or "s4d"] | {
         "init": "legsd", "dt_min": 1e-3, "dt_max": 1e-1}
@@ -672,7 +662,7 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         if getattr(args, key, value) is None:  # absent flags are skipped
             setattr(args, key, value)
     if getattr(args, "softmax", False) and args.disc != "zoh":
-        raise UsageError(
+        raise ValueError(
             "softmax normalization requires --disc zoh (the DSS parameterization "
             "pairs softmax with zero-order hold); bilinear is incompatible"
         )
@@ -694,8 +684,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        return _COMMANDS[args.subcommand](config)
-    except (UsageError, ValueError, OSError) as exc:
+        # an accepted but extreme input (--dt 1e308) may overflow on the way;
+        # the _require_finite checks report it, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.subcommand](config)
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -175,18 +175,34 @@ def discretize_bilinear(A: np.ndarray, B: np.ndarray, dt: float) -> DiscretePara
     return DiscreteParams(A_bar=A_bar, B_bar=B_bar, rule="bilinear", dt=float(dt))
 
 
+def _divide(num: np.ndarray, den: np.ndarray, at_zero: complex) -> np.ndarray:
+    """num / den elementwise as complex arrays, and `at_zero` where den = 0.
+
+    numpy's complex division forms 1 / (c + d (d/c)) for den = c + i d, which
+    overflows once max(|c|, |d|) < 2^-1024.  So both are first scaled by 2^k,
+    k = max(0, -e) for max(|c|, |d|) = m 2^e, through np.ldexp on the parts
+    (2.0**k overflows above k = 1023).  Scaling by a power of two is exact,
+    so a quotient in the normal range keeps its bits.
+    """
+    num, den = np.array(num, dtype=complex), np.array(den, dtype=complex)
+    k = np.maximum(0, -np.frexp(np.maximum(np.abs(den.real), np.abs(den.imag)))[1])
+    for part in (num.real, num.imag, den.real, den.imag):
+        np.ldexp(part, k, out=part)
+    return np.divide(num, den, out=np.full_like(den, at_zero), where=den != 0)
+
+
 def _phi1(z: np.ndarray) -> np.ndarray:
     """(exp(z) - 1) / z as expm1(z) / z, and 1 at z = 0.
 
     The complex expm1 comes from real functions, expm1(x + iy) =
     expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., 1.14.1), so nothing cancels
-    at small |z|.
+    at small |z|, and the quotient holds down to subnormal z (see _divide).
     """
     z = np.asarray(z, dtype=complex)
     x, y = z.real, z.imag
     expm1 = np.expm1(x) * np.cos(y) - 2.0 * np.sin(y / 2.0) ** 2 + 1j * np.exp(x) * np.sin(y)
-    return np.divide(expm1, z, out=np.ones_like(z), where=z != 0)
+    return _divide(expm1, z, 1.0)
 
 
 def discretize_zoh(A: np.ndarray, B: np.ndarray, dt: float) -> DiscreteParams:

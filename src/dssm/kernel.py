@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DiscreteParams, _orbit, dense_matrix_exp
+from .discretize import DiscreteParams, _divide, _orbit, dense_matrix_exp
 from .hippo import DenseSpec
 from .inits import DiagonalSpec
 
@@ -139,7 +139,8 @@ def _geometric_sums(a: np.ndarray, L: int) -> np.ndarray:
     a^L - 1 comes by binary powering on offsets from 1: with q = a^m - 1 for
     the bits of L taken so far and b = a^(2^k) - 1, a set bit makes q + b + q b
     and a squaring b (2 + b).  d = a - 1 is exact near 1 (Sterbenz's lemma),
-    so this is the geometric sum of the stored a.
+    so this is the geometric sum of the stored a, down to subnormal d (see
+    _divide).
     """
     d = a - 1.0
     q, b, bits = np.zeros_like(d), d, L
@@ -149,7 +150,7 @@ def _geometric_sums(a: np.ndarray, L: int) -> np.ndarray:
         bits >>= 1
         if bits:
             b = b * (2.0 + b)
-    return np.divide(q, d, out=np.full_like(d, L), where=d != 0)
+    return _divide(q, d, L)
 
 
 def dss_softmax_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kernel:

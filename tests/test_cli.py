@@ -273,6 +273,22 @@ def test_overflowing_input_reports_only_the_finiteness_error(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--init", "lin", "--N", "10000000000000000"],
+        ["kernel", "--init", "lin", "--N", "8", "--L", "10000000000000000", "--dt", "0.01"],
+    ],
+    ids=["spectrum", "kernel"],
+)
+def test_allocation_failure_exits_two(capsys, argv):
+    # tens of PiB exceed any address space, so the allocation fails at once
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 class TestSpectrumCommand:
     def test_single_family_csv(self, capsys):
         code, out, _ = run(["spectrum", "--init", "inv", "--N", "8"], capsys)
@@ -475,6 +491,15 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())[0]
         assert report["pass"] is True
         assert set(report["metrics"]["max_real_deviation"]) == {"2", "16", "64", "256"}
+
+    def test_theorem_probe(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--probe", "theorem", "-o", str(out)]) == 0
+        report = json.loads(out.read_text())[0]
+        assert report["probe"] == "theorem-convergence" and report["pass"] is True
+        errors = report["metrics"]["errors"]
+        assert len(errors) == 3
+        assert all(later < earlier for earlier, later in zip(errors, errors[1:]))
 
 
 class TestBenchCommand:

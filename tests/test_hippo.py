@@ -209,6 +209,79 @@ class TestHermitianEigendecompose:
         np.testing.assert_array_equal(values, expected)
 
 
+def _unitary(n, rng):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def _with_spectrum(values, rng):
+    Q = _unitary(len(values), rng)
+    H = (Q * values) @ Q.conj().T
+    return (H + H.conj().T) / 2
+
+
+def _random_hermitian(n, rng):
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (M + M.conj().T) / 2
+
+
+def _split_tridiagonal(n, rng):
+    e = rng.standard_normal(n - 1)
+    e[rng.uniform(size=n - 1) < 0.5] = 0.0
+    return np.diag(rng.standard_normal(n)) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _wilkinson(n, rng):
+    # W_n^+ (|n//2 - i| on the diagonal, ones beside it) under a random
+    # diagonal unitary similarity, which makes it complex
+    phases = np.exp(2j * np.pi * rng.uniform(size=n))
+    W = np.diag(np.abs(n // 2 - np.arange(n)).astype(float))
+    W += np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    return phases[:, None] * W * phases.conj()
+
+
+def _cluster(n, rng):
+    # half the spectrum within 1e-10 of 0.5, the rest spread over [-1, 1]
+    values = rng.uniform(-1.0, 1.0, n)
+    values[: (n + 1) // 2] = 0.5 + 1e-10 * rng.uniform(size=(n + 1) // 2)
+    return _with_spectrum(values, rng)
+
+
+# test matrix families after Demmel & McKenney, "A test matrix generation
+# suite", LAPACK Working Note 9 (1989)
+ENGINE_FAMILIES = {
+    "random": _random_hermitian,
+    "cluster-1e-10": _cluster,
+    "n-1-fold": lambda n, rng: _with_spectrum(np.r_[np.full(n - 1, 2.0), -1.0][:n], rng),
+    "graded": lambda n, rng: _with_spectrum(
+        np.logspace(-15, 0, n) * rng.choice([-1.0, 1.0], n), rng),
+    "split-tridiagonal": _split_tridiagonal,
+    "wilkinson": _wilkinson,
+    "tiny": lambda n, rng: 1e-300 * _random_hermitian(n, rng),
+    "huge": lambda n, rng: 1e300 * _random_hermitian(n, rng),
+    "zero": lambda n, rng: np.zeros((n, n)),
+}
+
+
+@pytest.mark.parametrize("family", ENGINE_FAMILIES)
+def test_engine_fuzz_against_lapack(family):
+    # eigenvalues against eigvalsh relative to max |lambda|, residuals within
+    # the engine's own _TOL of max |H|, and orthonormal vectors; the engine
+    # runs with every floating-point event and warning an error
+    rng = np.random.default_rng(24)
+    for n in (1, 2, 3, 5, 8, 17, 33, 64):
+        for _ in range(3):
+            H = ENGINE_FAMILIES[family](n, rng)
+            with np.errstate(all="raise"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values, V = hermitian_eigendecompose(H)
+            reference = np.linalg.eigvalsh(H)
+            scale = np.abs(reference).max()
+            assert np.abs(np.sort(values) - reference).max() <= 1e-13 * scale, n
+            assert np.abs(H @ V - V * values).max() <= hippo._TOL * np.abs(H).max(), n
+            assert np.abs(V.conj().T @ V - np.eye(n)).max() <= 1e-12, n
+
+
 class TestHippoDSpectrum:
     def test_n1_scalar(self):
         values = hippo_d_spectrum(1)

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from dssm import oracle
-from dssm.discretize import discretize
-from dssm.hippo import DenseSpec, hermitian_eigendecompose, make_hippo_legs, make_hippo_normal
-from dssm.inits import DiagonalSpec, init_lin
-from dssm.kernel import sample_basis, vandermonde_kernel
+from dssm.discretize import dense_matrix_exp, discretize, lu_factor
+from dssm.hippo import (
+    DenseSpec,
+    hermitian_eigendecompose,
+    hippo_d_spectrum,
+    make_hippo_legs,
+    make_hippo_normal,
+)
+from dssm.inits import DiagonalSpec, init_lin, init_real
+from dssm.kernel import dss_softmax_kernel, sample_basis, vandermonde_kernel
 from dssm.oracle import (
     CONJECTURE_MIN_N,
     conjecture_probe,
@@ -302,3 +308,41 @@ class TestRandomStableSpec:
         spec2, dt2 = random_stable_spec(rng2)
         np.testing.assert_array_equal(spec.A_half, spec2.A_half)
         assert dt == dt2
+
+
+_DENSE = DenseSpec(A=-np.eye(2), B=np.ones(2), C=np.ones(2))
+_SPEC = DiagonalSpec(A_half=np.array([-0.5 + 1j]), B_half=np.ones(1), C_half=np.ones(1))
+_T = np.linspace(0.0, 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: lu_factor(np.zeros((2, 3))), ValueError, "square"),
+        (lambda: dense_matrix_exp(np.zeros((2, 3))), ValueError, "square"),
+        (lambda: discretize(np.zeros(2), np.ones(3), 0.1, "zoh"), ValueError, "same length"),
+        (lambda: hippo_d_spectrum(0), ValueError, "state size"),
+        (lambda: init_real(0), ValueError, "state size"),
+        (lambda: DiagonalSpec(A_half=-np.ones(2), B_half=np.ones(3)), ValueError, "B_half"),
+        (lambda: vandermonde_kernel(_SPEC, discretize(_DENSE.A, _DENSE.B, 0.1, "zoh"), 4),
+         ValueError, "diagonal discretization"),
+        (lambda: dss_softmax_kernel(_SPEC, discretize(_SPEC.A_half, _SPEC.B_half, 0.1, "zoh"), 0),
+         ValueError, "length"),
+        (lambda: dense_kernel(_DENSE, "zoh", 0.1, 0), ValueError, "length"),
+        (lambda: discrete_basis(_DENSE, "zoh", 0.1, 0), ValueError, "L >= 1"),
+        (lambda: sample_basis("not a spec", _T), TypeError, "spec"),
+        (lambda: legendre_basis_table(-1, _T), ValueError, "n_max"),
+        (lambda: gauss_legendre_nodes(0), ValueError, "node"),
+        (lambda: smoothed_normal_basis(4, np.zeros(1)), ValueError, "two grid points"),
+        (lambda: smoothed_normal_basis(4, _T + 1.0), ValueError, "start at t=0"),
+        (lambda: fout_truncation_basis(1, _T), ValueError, "N >= 2"),
+    ],
+    ids=["lu-factor-non-square", "matrix-exp-non-square", "mismatched-A-B", "spectrum-N-0",
+         "init-real-N-0", "spec-B-length", "kernel-of-dense-disc", "softmax-L-0",
+         "dense-kernel-L-0", "discrete-basis-L-0", "sample-basis-non-spec",
+         "legendre-n-max-negative", "gauss-legendre-no-nodes", "smoothed-one-point",
+         "smoothed-grid-not-at-0", "fout-N-1"],
+)
+def test_input_guards_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

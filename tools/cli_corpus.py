@@ -103,6 +103,14 @@ def _corpus() -> list[tuple[dict, list[str]]]:
                  "--dt", "1e-8"]),
         (plain, ["conv", "--input", "u65.csv", "--mode", "scan", "--preset", "s4d-zoh",
                  "--init", "inv", "--N", "8", "--dt", "1e-5"]),
+        # ZOH and the DSS row sums at subnormal steps, where numpy's complex
+        # division by dt A or A_bar - 1 would overflow unscaled
+        (plain, ["kernel", "--preset", "s4d-zoh", "--init", "lin", "--N", "8", "--L", "65",
+                 "--dt", "1e-310"]),
+        (plain, ["kernel", "--preset", "dss", "--init", "legsd", "--N", "16", "--L", "65",
+                 "--dt", "5e-324"]),
+        (plain, ["conv", "--input", "u65.csv", "--mode", "scan", "--preset", "s4d-zoh",
+                 "--init", "inv", "--N", "8", "--dt", "1e-310"]),
         (plain, ["spectrum", "--all", "--N", "64"]),
         (plain, ["spectrum", "--all", "--N", "64", "--format", "json"]),
         (plain, ["spectrum", "--init", "legsd", "--N", "256"]),
@@ -130,6 +138,8 @@ def _corpus() -> list[tuple[dict, list[str]]]:
         (plain, ["bench", "--N-grid", "64", "--L-grid", "1024", "--repeats", "1"]),
         (plain, ["basis", "--dense", "legs", "--N", "8", "--t-max", "1e308", "--points", "3"]),
         (plain, ["basis", "--init", "lin", "--N", "8", "--t-max", "inf", "--points", "3"]),
+        # an allocation too large to make (35.5 PiB, beyond any address space)
+        (plain, ["spectrum", "--init", "lin", "--N", "10000000000000000"]),
         # a flag the subcommand does not read
         (plain, ["spectrum", "--N", "8", "--dt", "0.01"]),
         (plain, ["spectrum", "--N", "8", "--preset", "dss"]),
