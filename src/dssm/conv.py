@@ -14,12 +14,13 @@ The per-sample loop stays as the private reference `_sequential_scan`; the
 scan builds its own tables, so the kernel-vs-scan oracles stay independent.
 
 The FFT is a local power-of-two four-step transform (matmuls with a cached
-32-point DFT matrix and twiddle tables); the inverse runs the same steps
-with the conjugated tables.  Both the convolution and the scan reject a
-non-finite input sample.
+32-point DFT matrix and twiddle tables), run forward only: the convolution
+inverts through the conjugate, with each row prescaled by a power of two.
+Both the convolution and the scan reject a non-finite input sample.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -102,32 +103,33 @@ def _dft_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return W, T
 
 
-def _fft_pow2(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+def _fft_pow2(x: np.ndarray) -> np.ndarray:
     """DFT along the last axis of power-of-two length n (Bailey's four-step):
     view x as (…, 32, n/32), transform the 32-axis, twiddle, recurse on the
-    last axis, and transpose so output k1 + 32·k2 lands in place.  With
-    `inverse`, the unscaled inverse: the same steps with the conjugated
-    tables, which equals conj(DFT(conj(x))) bit for bit."""
+    last axis, and transpose so output k1 + 32·k2 lands in place.  It runs
+    forward only; the unscaled inverse is conj(_fft_pow2(conj(x)))."""
     n = x.shape[-1]
     W, T = _dft_tables(n)
-    if inverse:
-        W, T = W.conj(), T.conj()
     if n <= _RADIX:
         return x @ W
     y = W @ x.reshape(*x.shape[:-1], _RADIX, n // _RADIX)
     y *= T
-    return _fft_pow2(y, inverse).swapaxes(-1, -2).reshape(x.shape)
+    return _fft_pow2(y).swapaxes(-1, -2).reshape(x.shape)
 
 
 def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     """Causal convolution y_l = sum_{j<=l} K_j u_{l-j} via zero-padded FFTs.
 
-    Transforms use the next power of two >= 2L, so linear (not circular)
-    convolution is recovered on the first L outputs.  The imaginary residue
-    is checked against 1e-9 times max|u_row| * sum|K|, the bound on |y_l|,
-    before discarding; a bound from the outputs themselves would reject
-    exact outputs that cancel to zero.  A non-finite input sample is an
-    error: it would turn every output of its row into NaN.
+    Transforms use the next power of two m >= 2L, so linear (not circular)
+    convolution is recovered on the first L outputs; a row's transform is
+    DFT(conj(DFT(u)) · conj(DFT(K)) / m) = conj(y).  Its sums reach
+    m·max|u|·Σ|K| while |y_l| <= max|u|·Σ|K|, so the row is scaled by 2^-k
+    (k > 0 only near overflow) and its output by 2^k, exactly: only an
+    output beyond the largest double becomes inf.  The imaginary residue is
+    checked against 1e-9 times max|u_row| * sum|K| of the scaled row, the
+    bound on its |y_l|, before discarding; a bound from the outputs would
+    reject exact outputs that cancel to zero.  A non-finite input sample is
+    an error: it would turn every output of its row into NaN.
     """
     L = K.L
     if L < 1:
@@ -137,20 +139,21 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     m = 1 << (2 * L - 1).bit_length()
     kernel_padded = np.zeros(m)
     kernel_padded[:L] = K.values
-    K_f = _fft_pow2(kernel_padded)
-    K_f /= m  # the inverse's scaling, exact for a power of two
+    K_c = np.conj(_fft_pow2(kernel_padded)) / m  # the inverse's scaling, exact for a power of two
     gain = float(np.abs(K.values).sum())
+    headroom = math.frexp(max(gain, 1.0))[1] + m.bit_length() - 1022  # k keeps every sum < 2^1021
 
     rows = _finite_rows(u)
     out = np.empty_like(rows)
     for i, row in enumerate(rows):
+        k = max(0, math.frexp(float(np.abs(row).max()))[1] + headroom)
         padded = np.zeros(m)
-        padded[:L] = row
-        y = _fft_pow2(_fft_pow2(padded) * K_f, inverse=True)[:L]
-        bound = 1e-9 * max(float(np.abs(row).max()) * gain, np.finfo(float).tiny)
+        padded[:L] = np.ldexp(row, -k)
+        y = _fft_pow2(np.conj(_fft_pow2(padded)) * K_c)[:L]
+        bound = 1e-9 * max(float(np.abs(padded).max()) * gain, np.finfo(float).tiny)
         if float(np.abs(y.imag).max()) > bound:
             raise ValueError("unexpected imaginary residue in convolution output")
-        out[i] = y.real
+        out[i] = np.ldexp(y.real, k)
     return Signal(samples=out if u.samples.ndim == 2 else out[0])
 
 

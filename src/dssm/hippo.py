@@ -162,7 +162,7 @@ def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _tridiagonal_eigenvectors(
-    d: np.ndarray, e: np.ndarray, values: np.ndarray, target: float, max_passes: int
+    d: np.ndarray, e: np.ndarray, values: np.ndarray, target: float
 ) -> np.ndarray:
     """Orthonormal eigenvectors of the tridiagonal (d, e) for its ascending
     eigenvalues, by inverse iteration (LAPACK dstein).
@@ -173,7 +173,7 @@ def _tridiagonal_eigenvectors(
     systems together, reorthogonalizes within clusters of eigenvalues closer
     than 1e-3 ||T||, and normalizes.  Once every residual |T x - lambda x| is
     at most target, two more passes (dstein's EXTRA) take orthogonality below
-    what the stopping residual bounds; max_passes counts them too.
+    what the stopping residual bounds; _MAX_PASSES counts them too.
     """
     n = len(d)
     norm = float(np.abs(values).max())
@@ -199,7 +199,7 @@ def _tridiagonal_eigenvectors(
     first = np.maximum.accumulate(np.where(gap, np.arange(n), 0))  # cluster start
     X = np.pad(np.random.default_rng(0).uniform(-1.0, 1.0, (n, n)), ((0, 2), (0, 0)))
     extra = 0  # passes since the residual test held; dstein's EXTRA = 2 passes end it
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         for k in range(n - 1):
             top = np.where(swapped[k], X[k + 1], X[k])
             X[k + 1] = np.where(swapped[k], X[k], X[k + 1]) - lower[k] * top
@@ -221,7 +221,7 @@ def _tridiagonal_eigenvectors(
             if extra == 2:
                 return vectors
             extra += 1
-    raise RuntimeError(f"inverse iteration did not converge within {max_passes} passes")
+    raise RuntimeError(f"inverse iteration did not converge within {_MAX_PASSES} passes")
 
 
 def _hermitian_spectrum(H: np.ndarray):
@@ -269,7 +269,7 @@ def hermitian_eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if defect > _TOL * max(1.0, scale):
         raise ValueError("input is not Hermitian within tolerance")
     values, scaled, (d, e, phases, reflectors) = _hermitian_spectrum(original)
-    X = _tridiagonal_eigenvectors(d, e, scaled, _TOL * np.frexp(scale)[0], _MAX_PASSES)
+    X = _tridiagonal_eigenvectors(d, e, scaled, _TOL * np.frexp(scale)[0])
     V = phases[:, None] * X
     for k, v in reversed(reflectors):
         V[k + 1 :] -= np.outer(2.0 * v, v.conj() @ V[k + 1 :])
@@ -295,11 +295,8 @@ def hippo_d_spectrum(N: int) -> np.ndarray:
     cached = _spectrum_cache.get(N)
     if cached is not None:
         return cached.copy()
-    normal = make_hippo_normal(N)
-    S = normal.A + 0.5 * np.eye(N)
-    u = _hermitian_spectrum(1j * S)[0]
-    values = -0.5 - 1j * u
-    order = np.argsort(-values.imag, kind="stable")
-    values = values[order]
-    _spectrum_cache[N] = values.copy()
-    return values
+    S = make_hippo_normal(N).A + 0.5 * np.eye(N)
+    # bisection returns u ascending: intervals i < j share midpoints until a
+    # Sturm count splits them and stay ordered after, so Im = -u descends
+    _spectrum_cache[N] = -0.5 - 1j * _hermitian_spectrum(1j * S)[0]
+    return _spectrum_cache[N].copy()

@@ -193,7 +193,7 @@ def test_criterion_08_convolution_duality():
         m = 1 << (L - 1).bit_length()
         padded = np.zeros(m, dtype=complex)
         padded[:L] = x
-        back = (_fft_pow2(_fft_pow2(padded), inverse=True) / m)[:L]
+        back = (np.conj(_fft_pow2(np.conj(_fft_pow2(padded)))) / m)[:L]
         round_trip = max(round_trip, float(np.abs(back - x).max() / np.abs(x).max()))
     ok = worst <= 1e-8 and round_trip <= 1e-12
     line = announce(

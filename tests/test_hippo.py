@@ -297,8 +297,10 @@ class TestHippoDSpectrum:
         im = np.sort(hippo_d_spectrum(N).imag)
         np.testing.assert_allclose(im, -im[::-1], atol=1e-10)
 
-    def test_sorted_by_descending_imag(self):
-        im = hippo_d_spectrum(32).imag
+    # the order comes from bisection alone, so odd N is covered too
+    @pytest.mark.parametrize("N", [*range(1, 65), 255, 256])
+    def test_sorted_by_descending_imag(self, N):
+        im = hippo_d_spectrum(N).imag
         assert (np.diff(im) <= 0).all()
 
     def test_odd_n_has_one_real_eigenvalue(self):

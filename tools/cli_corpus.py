@@ -26,9 +26,11 @@ import tempfile
 
 import numpy as np
 
-# name: (length, seed); 63, 64 and 65 samples sit at the scan's 64-step block edge
-INPUTS = {"u5000.csv": (5000, 11), "u4097.csv": (4097, 12), "u63.csv": (63, 13),
-          "u64.csv": (64, 14), "u65.csv": (65, 15), "u1.csv": (1, 16)}
+# name: (length, seed, power-of-two exponent of the scale); 63, 64 and 65
+# samples sit at the scan's 64-step block edge
+INPUTS = {"u5000.csv": (5000, 11, 0), "u4097.csv": (4097, 12, 0), "u63.csv": (63, 13, 0),
+          "u64.csv": (64, 14, 0), "u65.csv": (65, 15, 0), "u1.csv": (1, 16, 0),
+          "u65huge.csv": (65, 15, 1021)}
 
 
 def _corpus() -> list[tuple[dict, list[str]]]:
@@ -77,6 +79,12 @@ def _corpus() -> list[tuple[dict, list[str]]]:
     for name in ("u63.csv", "u64.csv", "u65.csv"):
         for preset in ("s4d", "s4d-zoh"):
             runs.append((plain, ["conv", "--input", name, "--mode", "scan", "--preset", preset,
+                                 "--init", "lin", "--N", "64", "--dt", "0.01"]))
+    # samples near 2^1022, where the FFT's sums of m terms would overflow
+    # unscaled although the output is finite
+    for mode in ("fft", "scan"):
+        for preset in ("s4d", "s4d-zoh"):
+            runs.append((plain, ["conv", "--input", "u65huge.csv", "--mode", mode, "--preset", preset,
                                  "--init", "lin", "--N", "64", "--dt", "0.01"]))
     runs += [
         (plain, ["conv", "--input", "u5000.csv", "--mode", "fft", "--preset", "dss",
@@ -165,8 +173,8 @@ def _corpus() -> list[tuple[dict, list[str]]]:
 
 
 def _write_inputs(directory: str) -> None:
-    for name, (length, seed) in INPUTS.items():
-        values = np.random.default_rng(seed).standard_normal(length)
+    for name, (length, seed, exponent) in INPUTS.items():
+        values = np.ldexp(np.random.default_rng(seed).standard_normal(length), exponent)
         rows = "".join("%d,%.17g\n" % row for row in enumerate(values.tolist()))
         with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
             handle.write("l,value\n" + rows)
