@@ -47,6 +47,7 @@ from .inits import (
 from .kernel import (
     Kernel,
     _kernel,
+    _softmax_row_sums,
     _weights,
     dss_softmax_kernel,
     sample_basis,
@@ -270,10 +271,10 @@ def cmd_conv(config: argparse.Namespace) -> int:
     spec, disc = build_system(config)
     if config.mode == "fft":
         out = fft_causal_conv(signal, _system_kernel(config, spec, disc))
-    elif config.softmax:
-        raise ValueError("softmax normalization has no recurrent form; use --mode fft")
     else:
-        out, _ = recurrent_scan(disc, spec.C_half, signal, conj_pairs=spec.conj_pairs)
+        # the softmax kernel of length L is the Vandermonde kernel of C / row sums
+        C = spec.C_half / _softmax_row_sums(disc, config.L) if config.softmax else spec.C_half
+        out, _ = recurrent_scan(disc, C, signal, conj_pairs=spec.conj_pairs)
     _require_finite(out.samples, "conv output")
     meta = _system_meta(config, disc) | {"mode": config.mode}
     rows = enumerate(np.atleast_1d(out.samples).tolist())

@@ -153,13 +153,14 @@ def _geometric_sums(a: np.ndarray, L: int) -> np.ndarray:
     return _divide(q, d, L)
 
 
-def dss_softmax_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kernel:
-    """Kernel with each mode normalized by its length-L geometric row sum.
+def _softmax_row_sums(disc: DiscreteParams, L: int) -> np.ndarray:
+    """Length-L geometric row sums sum_{l<L} A_bar^l of the DSS softmax.
 
-    Row sums are (A_bar^L - 1)/(A_bar - 1), one formula for every A_bar
-    (see _geometric_sums).  Requires the zero-order hold discretization; the
-    normalization makes the kernel depend on L globally, so kernels of
-    different lengths are not prefix-consistent.
+    Dividing C by them gives the softmax kernel as a Vandermonde kernel, so
+    the scan of C / row sums is the softmax convolution of an L-sample input
+    (S4D, arXiv 2206.11893).  Row sums are (A_bar^L - 1)/(A_bar - 1), one
+    formula for every A_bar (see _geometric_sums).  Requires the zero-order
+    hold discretization and L >= 1, and rejects near-zero row sums.
     """
     if disc.rule != "zoh":
         raise ValueError(
@@ -167,7 +168,6 @@ def dss_softmax_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kern
         )
     if L < 1:
         raise ValueError("kernel length must be >= 1")
-    w = _weights(spec, disc)
     row_sums = _geometric_sums(disc.A_bar, L)
     degenerate = np.abs(row_sums) < 1e-14 * L
     if degenerate.any():
@@ -175,8 +175,16 @@ def dss_softmax_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kern
             f"degenerate softmax rows (near-zero geometric sums) at modes "
             f"{np.flatnonzero(degenerate).tolist()}"
         )
+    return row_sums
 
-    return _kernel(spec, disc, L, w / row_sums)
+
+def dss_softmax_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kernel:
+    """Kernel with each mode normalized by its length-L geometric row sum:
+    the Vandermonde kernel of the weights C_n B_bar_n / row_sums_n (see
+    _softmax_row_sums).  The normalization makes the kernel depend on L
+    globally, so kernels of different lengths are not prefix-consistent.
+    """
+    return _kernel(spec, disc, L, _weights(spec, disc) / _softmax_row_sums(disc, L))
 
 
 def _uniform_spacing(t: np.ndarray) -> float | None:

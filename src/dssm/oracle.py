@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import _orbit, discretize, lu_factor, lu_solve
+from .discretize import _orbit, discretize
 from .hippo import DenseSpec, hippo_d_spectrum, make_hippo_legs, make_hippo_normal
 from .inits import DiagonalSpec
 from .kernel import Kernel, _uniform_spacing, sample_basis
@@ -19,8 +19,6 @@ __all__ = [
     "ConvergenceReport",
     "ConjectureReport",
     "dense_kernel",
-    "state_space_transform",
-    "legendre_basis",
     "legendre_basis_table",
     "gauss_legendre_nodes",
     "legendre_orthonormality_defect",
@@ -28,7 +26,6 @@ __all__ = [
     "theorem_legsd_convergence",
     "conjecture_probe",
     "perturbation_experiment",
-    "fout_truncation_basis",
     "random_stable_spec",
     "discrete_basis",
 ]
@@ -81,23 +78,6 @@ def dense_kernel(spec: DenseSpec, rule: str, dt: float, L: int) -> Kernel:
     return Kernel((spec.C.astype(complex) @ discrete_basis(spec, rule, dt, L)).real)
 
 
-def state_space_transform(spec: DenseSpec, V: np.ndarray) -> DenseSpec:
-    """Change of state basis: (A, B, C) -> (V^-1 A V, V^-1 B, C V).
-
-    The input/output map is invariant under this transform, which is what
-    makes diagonalization legitimate: the kernel of the transformed system
-    equals the kernel of the original.
-    """
-    V = np.asarray(V)
-    if V.shape != (spec.N, spec.N):
-        raise ValueError("V must match the state size")
-    factored = lu_factor(V)
-    A_t = lu_solve(factored, spec.A @ V)
-    B_t = lu_solve(factored, spec.B)
-    C_t = None if spec.C is None else spec.C @ V
-    return DenseSpec(A=A_t, B=B_t, C=C_t)
-
-
 def legendre_basis_table(n_max: int, t: np.ndarray) -> np.ndarray:
     """Rows n = 0..n_max of the closed-form basis L_n(e^-t) e^-t.
 
@@ -118,13 +98,6 @@ def legendre_basis_table(n_max: int, t: np.ndarray) -> np.ndarray:
         polys[k + 1] = ((2 * k + 1) * y * polys[k] - k * polys[k - 1]) / (k + 1)
     scale = np.sqrt(2.0 * np.arange(n_max + 1) + 1.0)
     return polys * scale[:, None] * x[None, :]
-
-
-def legendre_basis(n: int, t):
-    """Closed-form basis function L_n(e^-t) e^-t at scalar or array t."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    values = legendre_basis_table(n, t_arr)[n]
-    return float(values[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else values
 
 
 def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,21 +242,6 @@ def perturbation_experiment(
     perturbed = DenseSpec(A=legs.A + np.outer(P, P), B=legs.B, C=None)
     table = sample_basis(perturbed, t_grid)
     return table, float(np.abs(table).max())
-
-
-def fout_truncation_basis(N: int, t_grid: np.ndarray) -> np.ndarray:
-    """Basis of the truncated Fourier diagonal: A_n = 2 pi i n, B = 1, as an
-    (N // 2, len(t_grid)) array.
-
-    Real part zero means every row has constant magnitude |e^{i w t}| = 1;
-    nothing decays, unlike the -1/2 families.
-    """
-    half = N // 2
-    if half < 1:
-        raise ValueError("need N >= 2")
-    a = 2j * np.pi * np.arange(half)
-    spec = DiagonalSpec(A_half=a, B_half=np.ones(half, dtype=complex))
-    return sample_basis(spec, t_grid)
 
 
 def random_stable_spec(rng: np.random.Generator, n_half: int | None = None) -> tuple[DiagonalSpec, float]:

@@ -337,6 +337,24 @@ class TestConvCommand:
         scale = np.abs(outputs["scan"]).max()
         assert np.abs(outputs["fft"] - outputs["scan"]).max() <= 1e-8 * scale
 
+    @pytest.mark.parametrize("init", ["lin", "inv", "legsd"])
+    @pytest.mark.parametrize("L", [1, 63, 64, 65, 4097])
+    def test_dss_scan_matches_fft(self, tmp_path, L, init):
+        # the length-L softmax kernel is the Vandermonde kernel of C / row sums,
+        # so the scan of that C is the same convolution
+        signal = tmp_path / "u.csv"
+        u = np.random.default_rng(L).standard_normal(L)
+        rows = "".join(f"{l},{x!r}\n" for l, x in enumerate(u.tolist()))
+        signal.write_text("l,value\n" + rows)
+        outputs = {}
+        for mode in ("fft", "scan"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["conv", "--input", str(signal), "--preset", "dss", "--init", init,
+                         "--N", "64", "--dt", "0.01", "--mode", mode, "-o", str(out)]) == 0
+            outputs[mode] = read_signal_csv(str(out))
+        scale = np.abs(outputs["fft"]).max()
+        assert np.abs(outputs["fft"] - outputs["scan"]).max() <= 1e-8 * scale
+
     def test_bilinear_step_past_overflow(self, tmp_path):
         # at dt = 1e308, dt/2 * A_n overflows for most modes; B_bar tends to
         # -2B/A as dt grows, so K_0 = 2 Re sum C B_bar tends to 2 Re sum C (-2B/A)
@@ -684,7 +702,7 @@ def test_public_api_budget():
     counts = {name: len(importlib.import_module(f"dssm.{name}").__all__)
               for name in ("hippo", "inits", "discretize", "kernel", "conv", "oracle")}
     assert counts == {"hippo": 5, "inits": 17, "discretize": 7, "kernel": 6, "conv": 4,
-                      "oracle": 15}
+                      "oracle": 12}
 
 
 def test_state_size_is_derived():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from dssm.cli import _auxiliary_peak_bytes
 from dssm.conv import Signal, recurrent_scan
 from dssm.discretize import DiscreteParams, discretize, discretize_bilinear, discretize_zoh
 from dssm.hippo import DenseSpec, make_hippo_legs
-from dssm.inits import DiagonalSpec, init_lin, init_real
+from dssm.inits import DiagonalSpec, init_C, init_lin, init_real, make_init
 from dssm.kernel import (
     PAIR_OUTPUT_WEIGHT,
     STREAM_CHUNK,
@@ -308,6 +309,63 @@ class TestDssSoftmaxKernel:
         disc = manual_disc([np.exp(2j * np.pi / L)], [1.0], rule="zoh")
         with pytest.raises(ValueError, match="degenerate"):
             dss_softmax_kernel(spec, disc, L)
+
+
+def binary_power(a, L):
+    """a^L by repeated squaring (exact zeros stay zero, unlike exp(L log a))."""
+    result, square = np.ones_like(a), a
+    while L:
+        if L & 1:
+            result = result * square
+        square, L = square * square, L >> 1
+    return result
+
+
+def generating_function_kernels(cs, a, L, out_weight):
+    """out_weight * Re(sum_n c_n a_n^l) for l < L, one row per row c of cs,
+    through the length-L DFT Z_k = sum_n c_n / (1 - a_n w^k),
+    w = e^(-2 pi i / L), of the truncated generating function (each c_n
+    here already carries the factor 1 - a_n^L)."""
+    shift = np.exp(-2j * np.pi * np.arange(L) / L)
+    Z = np.zeros((len(cs), L), dtype=complex)
+    for n, a_n in enumerate(a):
+        Z += cs[:, n, None] / (1.0 - a_n * shift)
+    return out_weight * np.fft.ifft(Z).real
+
+
+@functools.cache
+def seeded_spec(init):
+    """A 32-mode spec of `init` with a seeded C (the real family has no
+    conjugate pairs, so N = 32 there)."""
+    spec = make_init(init, 32 if init == "real" else 64)
+    spec.C_half = init_C(spec.n_half, 5)
+    return spec
+
+
+class TestLongKernelOracle:
+    """Kernels past one 4096-sample batch against an oracle that shares no
+    code with the block engine: no cumprod, no block table, no matmul."""
+
+    @pytest.mark.parametrize("L", [4096, 4097, 3 * 4096 + 17, 65536])
+    @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+    @pytest.mark.parametrize("dt", [1e-5, 1e-3, 1e-1])
+    @pytest.mark.parametrize("init", ["lin", "legsd", "inv", "real"])
+    def test_matches_generating_function(self, init, dt, rule, L):
+        # init real, bilinear at dt = 0.1 has A_bar = 0 exactly (dt |A| = 2)
+        spec = seeded_spec(init)
+        disc = discretize(spec.A_half, spec.B_half, dt, rule)
+        a, w = disc.A_bar, spec.C_half * disc.B_bar
+        builds, cs = [vandermonde_kernel], [w * (1.0 - binary_power(a, L))]
+        if rule == "zoh":
+            # the softmax is the kernel of c = w / row sums, and with row sums
+            # (1 - a^L) / (1 - a) the factor 1 - a^L cancels
+            builds.append(dss_softmax_kernel)
+            cs.append(w * (1.0 - a))
+        out_weight = PAIR_OUTPUT_WEIGHT if spec.conj_pairs else 1.0
+        references = generating_function_kernels(np.array(cs), a, L, out_weight)
+        for build, reference in zip(builds, references):
+            gap = np.abs(build(spec, disc, L).values - reference).max()
+            assert gap <= 1e-10 * np.abs(reference).max(), build.__name__
 
 
 class TestSampleBasis:

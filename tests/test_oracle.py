@@ -7,27 +7,23 @@ from dssm import oracle
 from dssm.discretize import dense_matrix_exp, discretize, lu_factor
 from dssm.hippo import (
     DenseSpec,
-    hermitian_eigendecompose,
     hippo_d_spectrum,
     make_hippo_legs,
     make_hippo_normal,
 )
-from dssm.inits import DiagonalSpec, init_lin, init_real
+from dssm.inits import DiagonalSpec, init_real
 from dssm.kernel import dss_softmax_kernel, sample_basis, vandermonde_kernel
 from dssm.oracle import (
     CONJECTURE_MIN_N,
     conjecture_probe,
     dense_kernel,
     discrete_basis,
-    fout_truncation_basis,
     gauss_legendre_nodes,
-    legendre_basis,
     legendre_basis_table,
     legendre_orthonormality_defect,
     perturbation_experiment,
     random_stable_spec,
     smoothed_normal_basis,
-    state_space_transform,
     theorem_legsd_convergence,
 )
 
@@ -90,59 +86,7 @@ class TestDenseKernel:
             dense_kernel(big, "zoh", 0.1, 4)
 
 
-class TestStateSpaceTransform:
-    def test_identity_transform(self):
-        legs, _ = make_hippo_legs(5)
-        spec = DenseSpec(A=legs.A, B=legs.B, C=np.ones(5))
-        same = state_space_transform(spec, np.eye(5))
-        np.testing.assert_allclose(same.A, spec.A, atol=1e-13)
-        np.testing.assert_allclose(same.B, spec.B, atol=1e-13)
-        np.testing.assert_allclose(same.C, spec.C, atol=1e-13)
-
-    def test_eigenvector_transform_diagonalizes_and_preserves_kernel(self):
-        rng = np.random.default_rng(32)
-        N = 16
-        normal = make_hippo_normal(N)
-        C = rng.standard_normal(N)
-        spec = DenseSpec(A=normal.A, B=normal.B, C=C)
-        S = normal.A + 0.5 * np.eye(N)
-        spectrum, V = hermitian_eigendecompose(1j * S)
-        transformed = state_space_transform(spec, V)
-        off = transformed.A - np.diag(np.diag(transformed.A))
-        assert np.abs(off).max() <= 1e-8
-        k_original = dense_kernel(spec, "bilinear", 0.05, 64)
-        k_transformed = dense_kernel(transformed, "bilinear", 0.05, 64)
-        scale = np.abs(k_original.values).max()
-        assert np.abs(k_original.values - k_transformed.values).max() <= 1e-8 * scale
-
-    def test_random_well_conditioned_transform_preserves_kernel(self):
-        rng = np.random.default_rng(33)
-        N = 8
-        legs, _ = make_hippo_legs(N)
-        spec = DenseSpec(A=legs.A, B=legs.B, C=rng.standard_normal(N))
-        V = np.eye(N) + 0.1 * rng.standard_normal((N, N))
-        assert np.linalg.cond(V) < 100
-        transformed = state_space_transform(spec, V)
-        k_original = dense_kernel(spec, "zoh", 0.08, 96)
-        k_transformed = dense_kernel(transformed, "zoh", 0.08, 96)
-        scale = np.abs(k_original.values).max()
-        assert np.abs(k_original.values - k_transformed.values).max() <= 1e-8 * scale
-
-    def test_shape_guard(self):
-        legs, _ = make_hippo_legs(4)
-        spec = DenseSpec(A=legs.A, B=legs.B, C=None)
-        with pytest.raises(ValueError):
-            state_space_transform(spec, np.eye(3))
-
-
 class TestLegendre:
-    def test_order_zero_is_exponential(self):
-        t = np.linspace(0.0, 5.0, 50)
-        np.testing.assert_allclose(legendre_basis(0, t), np.exp(-t), rtol=1e-14)
-
-    def test_endpoint_value(self):
-        assert abs(legendre_basis(1, 0.0) - np.sqrt(3.0)) <= 1e-14
-
     def test_low_order_closed_forms(self):
         # orthonormal shifted Legendre on [0,1]:
         # L0 = 1, L1 = sqrt(3)(2x-1), L2 = sqrt(5)(6x^2-6x+1),
@@ -166,10 +110,6 @@ class TestLegendre:
             x_ref, w_ref = np.polynomial.legendre.leggauss(n)
             np.testing.assert_allclose(x, x_ref, atol=1e-13)
             np.testing.assert_allclose(w, w_ref, atol=1e-13)
-
-    def test_scalar_and_array_forms(self):
-        assert isinstance(legendre_basis(2, 1.0), float)
-        assert legendre_basis(2, np.array([1.0, 2.0])).shape == (2,)
 
 
 class TestTheoremConvergence:
@@ -277,26 +217,6 @@ class TestPerturbation:
         assert averages[0] <= averages[1] <= averages[2]
 
 
-class TestFoutTruncation:
-    def test_rows_have_constant_magnitude(self):
-        t = np.linspace(0.0, 3.0, 40)
-        table = fout_truncation_basis(8, t)
-        magnitudes = np.abs(table)
-        assert np.abs(magnitudes - magnitudes[:, :1]).max() <= 1e-12
-
-    def test_t_zero_column_is_b(self):
-        table = fout_truncation_basis(8, np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(table[:, 0], np.ones(4))
-
-    def test_contrast_with_decaying_family(self):
-        t = np.linspace(0.0, 6.0, 60)
-        lin = sample_basis(init_lin(8), t)
-        fout = fout_truncation_basis(8, t)
-        envelope = np.exp(-t / 2)
-        assert (np.abs(lin) <= envelope[None, :] * (1 + 1e-12)).all()
-        assert np.abs(fout[:, -1]).min() > 0.99
-
-
 class TestRandomStableSpec:
     def test_left_half_plane_and_seeding(self):
         rng = np.random.default_rng(0)
@@ -335,13 +255,12 @@ _T = np.linspace(0.0, 1.0, 3)
         (lambda: gauss_legendre_nodes(0), ValueError, "node"),
         (lambda: smoothed_normal_basis(4, np.zeros(1)), ValueError, "two grid points"),
         (lambda: smoothed_normal_basis(4, _T + 1.0), ValueError, "start at t=0"),
-        (lambda: fout_truncation_basis(1, _T), ValueError, "N >= 2"),
     ],
     ids=["lu-factor-non-square", "matrix-exp-non-square", "mismatched-A-B", "spectrum-N-0",
          "init-real-N-0", "spec-B-length", "kernel-of-dense-disc", "softmax-L-0",
          "dense-kernel-L-0", "discrete-basis-L-0", "sample-basis-non-spec",
          "legendre-n-max-negative", "gauss-legendre-no-nodes", "smoothed-one-point",
-         "smoothed-grid-not-at-0", "fout-N-1"],
+         "smoothed-grid-not-at-0"],
 )
 def test_input_guards_raise(call, error, message):
     with pytest.raises(error, match=message):

@@ -86,9 +86,14 @@ def _corpus() -> list[tuple[dict, list[str]]]:
         for preset in ("s4d", "s4d-zoh"):
             runs.append((plain, ["conv", "--input", "u65huge.csv", "--mode", mode, "--preset", preset,
                                  "--init", "lin", "--N", "64", "--dt", "0.01"]))
+    runs.append((plain, ["conv", "--input", "u5000.csv", "--mode", "fft", "--preset", "dss",
+                         "--init", "inv"]))
+    # the softmax in both modes: the scan runs C / row sums for the input's length
+    for name in ("u65.csv", "u4097.csv"):
+        for mode in ("fft", "scan"):
+            runs.append((plain, ["conv", "--input", name, "--mode", mode, "--preset", "dss",
+                                 "--init", "inv", "--N", "64", "--dt", "0.01"]))
     runs += [
-        (plain, ["conv", "--input", "u5000.csv", "--mode", "fft", "--preset", "dss",
-                 "--init", "inv"]),
         # metadata of a real spectrum (N modes, odd N, no conjugate pairs) and of
         # hyphenated seeded inits, one of them with a drawn dt
         (plain, ["kernel", "--init", "real", "--N", "7", "--L", "65", "--dt", "0.01"]),
