@@ -111,19 +111,15 @@ def dense_matrix_exp(M: np.ndarray) -> np.ndarray:
     return E
 
 
-def _orbit(M: np.ndarray, v: np.ndarray, count: int, every: int = 1) -> np.ndarray:
-    """Columns v, M^every v, M^(2 every) v, ... (`count` of them).
-
-    Each step is one `v = M @ v` in the dtype result_type(M, v); only every
-    `every`-th state is stored.
-    """
+def _orbit(M: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
+    """Columns v, M v, M^2 v, ... (`count` of them), one `v = M @ v` per
+    column in the dtype result_type(M, v)."""
     values = np.empty((len(v), count), dtype=np.result_type(M, v))
     v = v.astype(values.dtype)
     values[:, 0] = v
-    for step in range(1, (count - 1) * every + 1):
+    for step in range(1, count):
         v = M @ v
-        if step % every == 0:
-            values[:, step // every] = v
+        values[:, step] = v
     return values
 
 
@@ -218,7 +214,9 @@ def discretize_zoh(A: np.ndarray, B: np.ndarray, dt: float) -> DiscreteParams:
     if diagonal:
         z = dt * np.asarray(A, dtype=complex)
         A_bar = np.exp(z)
-        B_bar = _phi1(z) * dt * B
+        # where dt A overflows, phi1(-inf) = 0 would pass for a finite B_bar
+        # (the dt -> inf limit is -B/A), so such a mode's B_bar is NaN
+        B_bar = np.where(np.isfinite(z), _phi1(z), np.nan) * dt * B
     else:
         n = A.shape[0]
         dtype = np.result_type(A.dtype, B.dtype, float)

@@ -187,13 +187,15 @@ def dss_softmax_kernel(spec: DiagonalSpec, disc: DiscreteParams, L: int) -> Kern
     return _kernel(spec, disc, L, _weights(spec, disc) / _softmax_row_sums(disc, L))
 
 
-def _uniform_spacing(t: np.ndarray) -> float | None:
-    if len(t) < 2:
-        return None
+def _uniform_spacing(t: np.ndarray) -> float:
+    """The step of an evenly spaced grid (0.0 for one point); ValueError
+    for any other grid.  Steps may differ by the rounding of the points, two
+    ulps of the largest |t|, which is all that tells steps apart in a
+    subnormal grid such as linspace(0, 5e-324, 4)."""
     steps = np.diff(t)
-    h = float(steps[0])
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-        return None
+    h = float(steps[0]) if len(steps) else 0.0
+    if not np.allclose(steps, h, rtol=1e-9, atol=2 * np.spacing(np.abs(t).max())):
+        raise ValueError("t_grid must be uniformly spaced")
     return h
 
 
@@ -201,9 +203,9 @@ def sample_basis(spec: DiagonalSpec | DenseSpec, t_grid: np.ndarray) -> np.ndarr
     """Sample the basis functions K_n(t) = (e^{tA} B)_n on a time grid: an
     (n, len(t_grid)) array, one row per basis function.
 
-    Diagonal specs evaluate exp(t A_n) B_n in closed form.  Dense specs use
-    one matrix exponential per grid step when the grid is uniform (the
-    propagator is reused), falling back to one exponential per point.
+    Diagonal specs evaluate exp(t A_n) B_n in closed form on any grid.
+    Dense specs need an evenly spaced grid (see _uniform_spacing) and take
+    one orbit of the propagator exp(h A) of its step h from exp(t_0 A) B.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) < 1:
@@ -215,10 +217,5 @@ def sample_basis(spec: DiagonalSpec | DenseSpec, t_grid: np.ndarray) -> np.ndarr
 
     A, B = spec.A, spec.B
     h = _uniform_spacing(t)
-    if h is not None:
-        x0 = dense_matrix_exp(t[0] * A) @ B if t[0] != 0.0 else B
-        return _orbit(dense_matrix_exp(h * A), x0, len(t))
-    values = np.empty((spec.N, len(t)), dtype=np.result_type(A.dtype, B.dtype, float))
-    for j, tj in enumerate(t):
-        values[:, j] = dense_matrix_exp(tj * A) @ B
-    return values
+    x0 = dense_matrix_exp(t[0] * A) @ B if t[0] != 0.0 else B
+    return _orbit(dense_matrix_exp(h * A), x0, len(t))

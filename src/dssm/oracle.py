@@ -32,7 +32,8 @@ __all__ = [
 
 ORACLE_MAX_N = 4096
 
-# Trapezoid substeps per grid interval in `smoothed_normal_basis`.
+# Trapezoid substeps per grid interval in `smoothed_normal_basis` (stepped as
+# A_bar^4, two squarings).
 _REFINE = 4
 
 # Below this N the conjecture band (middle half of n * Im_n) is empty or holds n = 0.
@@ -153,27 +154,28 @@ def smoothed_normal_basis(N: int, t_grid: np.ndarray) -> np.ndarray:
     realized through trapezoid (bilinear) integration: an (N, len(t_grid))
     array, one row per state.
 
-    The grid must be uniform.  The integrator takes _REFINE substeps h per
-    grid interval and records every _REFINE-th state, normalized by h so
-    values are on the continuous scale.  The bilinear input
-    map weights each mode by ~1/(1 - h*lambda/2), which damps the huge
-    imaginary frequencies (up to ~N^2/pi); that damping is what makes the
-    limit visible pointwise, since the exact basis only converges in the
-    weak sense.  An explicit integrator is not an option here: any stable
+    The grid must be uniform with a positive step.  The integrator takes
+    _REFINE = 4 substeps h per grid interval, as one orbit of A_bar^4 =
+    (A_bar^2)^2, normalized by h so values are on the continuous scale.
+    The bilinear input map weights each mode by ~1/(1 - h*lambda/2), which
+    damps the huge imaginary frequencies (up to ~N^2/pi); that damping is
+    what makes the limit visible pointwise, since the exact basis only
+    converges in the weak sense.  An explicit integrator is not an option here: any stable
     step would need h ~ 1/N^2.
     """
     t = np.asarray(t_grid, dtype=float)
     if len(t) < 2:
         raise ValueError("need at least two grid points")
     spacing = _uniform_spacing(t)
-    if spacing is None:
+    if spacing <= 0:
         raise ValueError("t_grid must be uniformly spaced")
     if t[0] != 0.0:
         raise ValueError("grid must start at t=0")
     h = spacing / _REFINE
     normal = make_hippo_normal(N)
     disc = discretize(normal.A, normal.B / 2.0, h, "bilinear")
-    return _orbit(disc.A_bar, disc.B_bar / h, len(t), every=_REFINE)
+    squared = disc.A_bar @ disc.A_bar
+    return _orbit(squared @ squared, disc.B_bar / h, len(t))
 
 
 def theorem_legsd_convergence(

@@ -175,6 +175,17 @@ class TestZoh:
         np.testing.assert_allclose(disc.A_bar, np.eye(2) + dt * A, atol=1e-14)
         np.testing.assert_allclose(disc.B_bar, dt * B + dt**2 / 2.0 * (A @ B), atol=1e-14)
 
+    def test_overflowing_step_gives_a_non_finite_input_map(self):
+        # at dt = 1e308, dt A = -inf for A = -2, where phi1 is 0: a B_bar of 0
+        # would pass for finite, though the dt -> inf limit is -B/A = 0.5;
+        # dt A stays finite for A = -0.5, which keeps the formula's bits
+        A = np.array([-2.0, -0.5])
+        with np.errstate(over="ignore"):
+            disc = discretize_zoh(A, np.ones(2), 1e308)
+        assert np.isnan(disc.B_bar[0])
+        assert disc.B_bar[1] == _phi1(np.array([1e308 * -0.5]))[0] * 1e308
+        np.testing.assert_allclose(disc.B_bar[1], 2.0, rtol=1e-15)
+
 
 class TestDenseMatrixExp:
     def test_zero(self):

@@ -6,7 +6,13 @@ import pytest
 
 from dssm.cli import _auxiliary_peak_bytes
 from dssm.conv import Signal, recurrent_scan
-from dssm.discretize import DiscreteParams, discretize, discretize_bilinear, discretize_zoh
+from dssm.discretize import (
+    DiscreteParams,
+    dense_matrix_exp,
+    discretize,
+    discretize_bilinear,
+    discretize_zoh,
+)
 from dssm.hippo import DenseSpec, make_hippo_legs
 from dssm.inits import DiagonalSpec, init_C, init_lin, init_real, make_init
 from dssm.kernel import (
@@ -388,16 +394,24 @@ class TestSampleBasis:
         reference = legendre_basis_table(8, t)
         assert np.abs(table[:9].real - reference).max() <= 1e-6
 
-    def test_dense_uniform_and_pointwise_paths_agree(self):
+    @pytest.mark.parametrize(
+        "t",
+        [np.linspace(0.0, 2.0, 9), np.linspace(0.0, -0.1, 9), np.full(4, 0.7), np.array([1.3]),
+         np.linspace(0.0, 5e-324, 4)],  # subnormal steps 0, 0, 5e-324: even up to rounding
+        ids=["positive-step", "negative-step", "zero-step", "one-point", "subnormal-step"],
+    )
+    def test_dense_orbit_matches_pointwise_exponentials(self, t):
         legs, _ = make_hippo_legs(12)
-        spec = DenseSpec(A=legs.A, B=legs.B, C=None)
-        uniform = np.linspace(0.0, 2.0, 9)
-        jittered = uniform.copy()
-        jittered[3] += 1e-4  # breaks the uniform-spacing detection
-        a = sample_basis(spec, uniform)
-        b = sample_basis(spec, jittered)
-        mask = [0, 1, 2, 4, 5, 6, 7, 8]
-        np.testing.assert_allclose(a[:, mask], b[:, mask], atol=1e-11)
+        table = sample_basis(DenseSpec(A=legs.A, B=legs.B, C=None), t)
+        reference = np.stack([dense_matrix_exp(tj * legs.A) @ legs.B for tj in t], axis=1)
+        np.testing.assert_allclose(table, reference, atol=1e-11)
+
+    def test_dense_rejects_uneven_grid(self):
+        legs, _ = make_hippo_legs(12)
+        jittered = np.linspace(0.0, 2.0, 9)
+        jittered[3] += 1e-4
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            sample_basis(DenseSpec(A=legs.A, B=legs.B, C=None), jittered)
 
     def test_dense_t_zero_column(self):
         legs, _ = make_hippo_legs(6)

@@ -129,6 +129,23 @@ class TestTheoremConvergence:
         with pytest.raises(ValueError, match="uniform"):
             smoothed_normal_basis(8, np.array([0.0, 0.1, 0.5]))
 
+    @pytest.mark.parametrize("N", [8, 64, 256])
+    def test_smoothed_basis_matches_substep_orbit(self, N):
+        # reference: one trapezoid substep A_bar v at a time, four per grid
+        # interval, with every fourth state kept
+        t = np.linspace(0.0, 3.0, 65)
+        h = (t[1] - t[0]) / 4
+        normal = make_hippo_normal(N)
+        disc = discretize(normal.A, normal.B / 2.0, h, "bilinear")
+        v = disc.B_bar / h
+        reference = np.empty((N, len(t)))
+        for j in range(len(t)):
+            reference[:, j] = v
+            for _ in range(4):
+                v = disc.A_bar @ v
+        table = smoothed_normal_basis(N, t)
+        assert np.abs(table - reference).max() <= 1e-13 * np.abs(reference).max()
+
     def test_discrete_analogue_bounded_both_rules(self):
         # the step-grid basis stays bounded; zoh carries visible oscillation
         # on top of the same envelope, bilinear stays smooth

@@ -210,7 +210,7 @@ def write_input(path, L):
 
 
 # 600 examples so that at least 100 kernel/conv runs take an explicit edge
-# --dt (the derandomized draw gives 124; the rest draw --dt-min/--dt-max)
+# --dt (the derandomized draw gives 115; the rest draw --dt-min/--dt-max)
 @settings(deterministic, max_examples=600)
 @given(
     command=st.sampled_from(["kernel", "scan", "fft", "basis", "spectrum"]),
@@ -218,7 +218,7 @@ def write_input(path, L):
     timescale=st.sampled_from(["--dt", "--dt-min", "--dt-max"]),
     L=st.sampled_from(BLOCK_EDGE_LENGTHS),
     preset=st.sampled_from(["s4d", "s4d-zoh", "dss"]),
-    init=st.sampled_from(["lin", "inv", "legsd"]),
+    init=st.sampled_from(["lin", "inv", "legsd", "real"]),
     points=st.integers(1, 65),
     rows=st.sampled_from([0, 1, 8]),
     dense=st.sampled_from([None, "legs", "normal", "normal-unscaled"]),

@@ -71,6 +71,12 @@ def _corpus() -> list[tuple[dict, list[str]]]:
                          "--dt", "1.7e308"]))
     runs.append((plain, ["basis", "--dense", "normal", "--N", "8", "--points", "2",
                          "--t-max", "1.7e308"]))
+    # ZOH at the overflow edge: dt A overflows for the real A = -2, -3, -4 (exit 2,
+    # no finite kernel), and stays finite for A = -0.5 (B_bar near -B/A)
+    runs.append((plain, ["kernel", "--init", "real", "--N", "4", "--L", "2", "--dt", "1e308",
+                         "--disc", "zoh", "--re-mode", "identity", "--b", "ones"]))
+    runs.append((plain, ["kernel", "--preset", "s4d-zoh", "--init", "lin", "--N", "2",
+                         "--L", "4", "--dt", "1e308"]))
     for name in ("u5000.csv", "u4097.csv"):
         for mode in ("fft", "scan"):
             for preset in ("s4d", "s4d-zoh"):
@@ -133,7 +139,10 @@ def _corpus() -> list[tuple[dict, list[str]]]:
         (plain, ["basis", "--dense", "normal", "--N", "16", "--rows", "0", "--points", "33"]),
         (plain, ["basis", "--dense", "normal-unscaled", "--N", "32", "--rows", "0",
                  "--points", "17"]),
-        (plain, ["basis", "--dense", "legs", "--N", "8", "--points", "1"]),  # pointwise path
+        # one-point, zero-step and negative-step grids: each takes the one orbit
+        (plain, ["basis", "--dense", "legs", "--N", "8", "--points", "1"]),
+        (plain, ["basis", "--dense", "legs", "--N", "8", "--t-max", "0", "--points", "3"]),
+        (plain, ["basis", "--dense", "legs", "--N", "8", "--t-max", "-1", "--points", "3"]),
         (plain, ["basis", "--dense", "legs", "--N", "12", "--points", "2", "--t-max", "0.5"]),
         (plain, ["verify"]),
         # the probe sizes are fixed, so this line and the two --N-list lines below exit 2
