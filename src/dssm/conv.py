@@ -13,9 +13,13 @@ whole block, so it pays off on calls of more than a few samples.
 The per-sample loop stays as the private reference `_sequential_scan`; the
 scan builds its own tables, so the kernel-vs-scan oracles stay independent.
 
-The FFT is a local power-of-two four-step transform (matmuls with a cached
-32-point DFT matrix and twiddle tables), run forward only: the convolution
-inverts through the conjugate, with each row prescaled by a power of two.
+The FFT is a local power-of-two four-step transform (matmuls with cached DFT
+matrices of at most 32 points and twiddle tables), run forward only; it can
+skip a zero upper half of its input and form only the lower half of its
+output.  The convolution transforms its real rows and kernel as half spectra
+of half-length packed transforms, and inverts through the conjugate with one
+complex transform of the completed product, each row prescaled by a power of
+two.
 Both the convolution and the scan reject a non-finite input sample.
 """
 
@@ -88,14 +92,23 @@ class _ScanCarry(NamedTuple):
 _SCAN_BLOCK = 64  # steps per recurrent_scan block
 
 
-_RADIX = 32  # four-step split; a transform of at most this length is one matmul
+_LEVEL_BITS = 5  # a transform of at most 2^5 = 32 points is one matmul
+
+
+def _split(n: int) -> int:
+    """n1 of an n-point transform's first level, n itself at the base: the
+    log2 n bits spread as evenly as possible over ceil(log2 n / 5) levels,
+    smaller shares first (8192 = 16·16·32, 4096 = 16·16·16)."""
+    p = n.bit_length() - 1
+    return n if p <= _LEVEL_BITS else 1 << (p // -(-p // _LEVEL_BITS))
 
 
 @functools.cache
 def _dft_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (W, T): the DFT matrix of n1 = min(n, 32) points and the
-    (n1, n/n1) twiddles exp(-2πi k j / n), with angles from k·j mod n."""
-    n1 = min(n, _RADIX)
+    """Read-only (W, T) of an n-point level: the DFT matrix of n1 = _split(n)
+    points and the (n1, n/n1) twiddles exp(-2πi k j / n), with angles from
+    k·j mod n."""
+    n1 = _split(n)
     k = np.arange(n1)
     W = np.exp(-2j * np.pi * ((k[:, None] * k) % n1) / n1)
     T = np.exp(-2j * np.pi * ((k[:, None] * np.arange(n // n1)) % n) / n)
@@ -103,33 +116,71 @@ def _dft_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return W, T
 
 
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """DFT along the last axis of power-of-two length n (Bailey's four-step):
-    view x as (…, 32, n/32), transform the 32-axis, twiddle, recurse on the
-    last axis, and transpose so output k1 + 32·k2 lands in place.  It runs
-    forward only; the unscaled inverse is conj(_fft_pow2(conj(x)))."""
-    n = x.shape[-1]
+def _fft_pow2(x: np.ndarray, n: int | None = None, head: bool = False) -> np.ndarray:
+    """DFT along the last axis of power-of-two length n (Bailey's four-step).
+
+    x holds the first n or n/2 samples of the n-point input, the rest being
+    zero (n defaults to x's length); head=True forms outputs 0..n/2-1 only.
+    A level views x as (…, n1, n/n1) with n1 = _split(n), transforms the
+    n1-axis through the columns of W that meet data, twiddles, recurses on
+    the last axis (for its head only: output k1 + n1·k2 < n/2 needs
+    k2 < n/(2·n1)) and transposes so output k1 + n1·k2 lands in place.  The
+    base level is one 2-D matmul (Markel 1971 prunes the same zeros and
+    unread outputs).  It runs forward only; the unscaled inverse is
+    conj(_fft_pow2(conj(x)))."""
+    n = x.shape[-1] if n is None else n
     W, T = _dft_tables(n)
-    if n <= _RADIX:
-        return x @ W
-    y = W @ x.reshape(*x.shape[:-1], _RADIX, n // _RADIX)
+    n1, n2 = T.shape
+    batch = x.shape[:-1]
+    if n2 == 1:
+        y = x.reshape(-1, x.shape[-1]) @ W[: x.shape[-1], : n // 2 if head else n]
+        return y.reshape(*batch, -1)
+    rows = x.shape[-1] // n2
+    y = W[:, :rows] @ x.reshape(*batch, rows, n2)
     y *= T
-    return _fft_pow2(y).swapaxes(-1, -2).reshape(x.shape)
+    return _fft_pow2(y, head=head).swapaxes(-1, -2).reshape(*batch, -1)
+
+
+@functools.cache
+def _real_twiddles(m: int) -> np.ndarray:
+    """Read-only -(i/2)·exp(-2πi k/m) for k = 0..m/2 (see _real_spectrum)."""
+    t = -0.5j * np.exp(-2j * np.pi * np.arange(m // 2 + 1) / m)
+    t.flags.writeable = False
+    return t
+
+
+def _real_spectrum(x: np.ndarray, m: int) -> np.ndarray:
+    """Bins 0..m/2 of the m-point DFT of the real x (len(x) <= m/2, zero-padded)
+    from one h-point transform, h = m/2 (Cooley, Lewis & Welch 1970): pack
+    z_j = x_2j + i·x_2j+1, whose upper half is zero, and split its Z by
+    X_k = ½(Z_k + conj Z_{h−k}) − (i/2)·e^{−2πik/m}·(Z_k − conj Z_{h−k})."""
+    h = m // 2
+    z = np.zeros(max(h // 2, 1), dtype=complex)
+    z.view(float)[: len(x)] = x
+    Z = _fft_pow2(z, h)
+    Z = np.append(Z, Z[0])  # Z_h = Z_0
+    mirror = np.conj(Z[::-1])
+    return 0.5 * (Z + mirror) + _real_twiddles(m) * (Z - mirror)
 
 
 def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     """Causal convolution y_l = sum_{j<=l} K_j u_{l-j} via zero-padded FFTs.
 
     Transforms use the next power of two m >= 2L, so linear (not circular)
-    convolution is recovered on the first L outputs; a row's transform is
-    DFT(conj(DFT(u)) · conj(DFT(K)) / m) = conj(y).  Its sums reach
-    m·max|u|·Σ|K| while |y_l| <= max|u|·Σ|K|, so the row is scaled by 2^-k
-    (k > 0 only near overflow) and its output by 2^k, exactly: only an
-    output beyond the largest double becomes inf.  The imaginary residue is
-    checked against 1e-9 times max|u_row| * sum|K| of the scaled row, the
-    bound on its |y_l|, before discarding; a bound from the outputs would
-    reject exact outputs that cancel to zero.  A non-finite input sample is
-    an error: it would turn every output of its row into NaN.
+    convolution is recovered on the first L outputs.  The kernel and each
+    row enter as half spectra (_real_spectrum, bins 0..m/2); their product
+    S = conj(DFT(u)) · conj(DFT(K)) / m is completed above m/2 by conjugate
+    symmetry, and one complex transform, of which only outputs below m/2
+    are formed, gives DFT(S) = conj(y).  Its sums reach m·max|u|·Σ|K|
+    while |y_l| <= max|u|·Σ|K|, so the row is scaled by 2^-k (k > 0 only
+    near overflow) and its output by 2^k, exactly: only an output beyond
+    the largest double becomes inf.  S is Hermitian by construction (bin
+    m/2 keeps a rounding-level imaginary part), so the imaginary residue
+    measures the inverse's own rounding; it is checked against 1e-9 times max|u_row| * sum|K| of the
+    scaled row, the bound on its |y_l|, before discarding; a bound from the
+    outputs would reject exact outputs that cancel to zero.  A non-finite
+    input sample is an error: it would turn every output of its row into
+    NaN.
     """
     L = K.L
     if L < 1:
@@ -137,9 +188,7 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     if u.length != L:
         raise ValueError(f"signal length {u.length} != kernel length {L}")
     m = 1 << (2 * L - 1).bit_length()
-    kernel_padded = np.zeros(m)
-    kernel_padded[:L] = K.values
-    K_c = np.conj(_fft_pow2(kernel_padded)) / m  # the inverse's scaling, exact for a power of two
+    K_c = np.conj(_real_spectrum(K.values, m)) / m  # the inverse's scaling, exact for a power of two
     gain = float(np.abs(K.values).sum())
     headroom = math.frexp(max(gain, 1.0))[1] + m.bit_length() - 1022  # k keeps every sum < 2^1021
 
@@ -147,10 +196,10 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     out = np.empty_like(rows)
     for i, row in enumerate(rows):
         k = max(0, math.frexp(float(np.abs(row).max()))[1] + headroom)
-        padded = np.zeros(m)
-        padded[:L] = np.ldexp(row, -k)
-        y = _fft_pow2(np.conj(_fft_pow2(padded)) * K_c)[:L]
-        bound = 1e-9 * max(float(np.abs(padded).max()) * gain, np.finfo(float).tiny)
+        scaled = np.ldexp(row, -k)
+        half = np.conj(_real_spectrum(scaled, m)) * K_c
+        y = _fft_pow2(np.concatenate([half, np.conj(half[-2:0:-1])]), head=True)[:L]
+        bound = 1e-9 * max(float(np.abs(scaled).max()) * gain, np.finfo(float).tiny)
         if float(np.abs(y.imag).max()) > bound:
             raise ValueError("unexpected imaginary residue in convolution output")
         out[i] = np.ldexp(y.real, k)

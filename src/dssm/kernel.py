@@ -206,6 +206,10 @@ def sample_basis(spec: DiagonalSpec | DenseSpec, t_grid: np.ndarray) -> np.ndarr
     Diagonal specs evaluate exp(t A_n) B_n in closed form on any grid.
     Dense specs need an evenly spaced grid (see _uniform_spacing) and take
     one orbit of the propagator exp(h A) of its step h from exp(t_0 A) B.
+    An orbit that steps backward (h < 0) from t_0 > 0 amplifies rounding: a
+    stable stiff A makes exp(h A) grow the error of exp(t_0 A) B at each
+    step (LegS N = 12 on linspace(1, -0.1, 9): 5.6e-8 of max|value| from
+    per-point exp(t_j A) B, against 8e-13 from t_0 = 0).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) < 1:

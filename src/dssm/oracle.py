@@ -168,7 +168,7 @@ def smoothed_normal_basis(N: int, t_grid: np.ndarray) -> np.ndarray:
         raise ValueError("need at least two grid points")
     spacing = _uniform_spacing(t)
     if spacing <= 0:
-        raise ValueError("t_grid must be uniformly spaced")
+        raise ValueError(f"t_grid step must be positive, got {spacing!r}")
     if t[0] != 0.0:
         raise ValueError("grid must start at t=0")
     h = spacing / _REFINE

@@ -3,11 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import dssm.conv as conv_module
 from dssm.conv import (
     RecurrentState,
     Signal,
     _fft_pow2,
+    _real_spectrum,
     _sequential_scan,
+    _split,
     fft_causal_conv,
     recurrent_scan,
 )
@@ -43,13 +46,47 @@ class TestFftPow2:
         back = np.conj(_fft_pow2(np.conj(_fft_pow2(x)))) / n
         assert np.abs(back - x).max() <= 1e-12 * max(np.abs(x).max(), 1.0)
 
-    # 1, 2 and 32: one matmul; 64 and 1024: one four-step level; 2^16: three
-    @pytest.mark.parametrize("n", [1, 2, 32, 64, 1024, 2**16])
+    # levels (see test_radix_plan): up to 32 points one matmul; 64 = 8·8;
+    # 1024 = 32·32; 2048 = 8·16·16; 8192 = 16·16·32; 2^17 = 16·16·16·32.
+    # Each n runs the whole input, the first n/2 samples of an input whose
+    # rest is zero, and the head-only call (outputs 0..n/2-1)
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 32, 64, 1024, 2048, 4096, 8192, 2**16, 2**17])
     def test_against_numpy_fft_oracle(self, n):
         rng = np.random.default_rng(n + 1)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         expected = np.fft.fft(x)
         assert np.abs(_fft_pow2(x) - expected).max() <= 1e-12 * np.abs(expected).max()
+        if n == 1:
+            return  # a one-point transform has no half
+        head = _fft_pow2(x, head=True)
+        assert head.shape == (n // 2,)
+        assert np.abs(head - expected[: n // 2]).max() <= 1e-12 * np.abs(expected).max()
+        x[n // 2 :] = 0.0
+        expected = np.fft.fft(x)
+        padded = _fft_pow2(x[: n // 2], n)
+        assert np.abs(padded - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize(
+        "n, levels",
+        [(1, [1]), (32, [32]), (64, [8, 8]), (2048, [8, 16, 16]), (4096, [16, 16, 16]),
+         (8192, [16, 16, 32]), (2**17, [16, 16, 16, 32])],
+    )
+    def test_radix_plan(self, n, levels):
+        plan = []
+        while _split(n) != n:
+            plan.append(_split(n))
+            n //= plan[-1]
+        assert plan + [n] == levels
+
+
+class TestRealSpectrum:
+    @pytest.mark.parametrize("L, m", [(1, 2), (2, 4), (3, 8), (17, 64), (4096, 8192), (4097, 16384)])
+    def test_against_numpy_rfft_oracle(self, L, m):
+        x = np.random.default_rng(L).standard_normal(L)
+        expected = np.fft.rfft(x, m)
+        got = _real_spectrum(x, m)
+        assert got.shape == (m // 2 + 1,)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestFftCausalConv:
@@ -85,13 +122,30 @@ class TestFftCausalConv:
             np.testing.assert_array_equal(out.samples[1], single.samples)
 
     def test_against_numpy_rfft_oracle(self):
-        # L = 4096 pads to 8192 = 32 * 32 * 8 points: two four-step levels
+        # L = 4096 pads to m = 8192: the rows' 4096-point half transforms run
+        # on 16·16·16 and the head-only inverse on 16·16·32
         rng = np.random.default_rng(29)
-        u = rng.standard_normal((4, 4096))
-        k = rng.standard_normal(4096)
-        out = fft_causal_conv(Signal(u), as_kernel(k)).samples
-        reference = np.fft.irfft(np.fft.rfft(u, 8192) * np.fft.rfft(k, 8192), 8192)[:, :4096]
-        assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
+        for L in (1, 2, 3, 17, 4096, 4097, 65536):
+            u = rng.standard_normal((4, L))
+            k = rng.standard_normal(L)
+            m = 1 << (2 * L - 1).bit_length()
+            out = fft_causal_conv(Signal(u), as_kernel(k)).samples
+            reference = np.fft.irfft(np.fft.rfft(u, m) * np.fft.rfft(k, m), m)[:, :L]
+            assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max(), L
+
+    def test_imaginary_residue_raises(self, monkeypatch):
+        # the completed spectrum is Hermitian, so the inverse's output is real
+        # but for rounding; an imaginary part beyond the 1e-9 bound must raise
+        plain = conv_module._fft_pow2
+
+        def skewed(x, n=None, head=False):
+            y = plain(x, n, head)
+            return y + 1e-6j * np.abs(y).max() if head else y
+
+        monkeypatch.setattr(conv_module, "_fft_pow2", skewed)
+        u = np.random.default_rng(30).standard_normal(64)
+        with pytest.raises(ValueError, match="unexpected imaginary residue"):
+            fft_causal_conv(Signal(u), as_kernel(np.ones(64)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):

@@ -272,12 +272,14 @@ _T = np.linspace(0.0, 1.0, 3)
         (lambda: gauss_legendre_nodes(0), ValueError, "node"),
         (lambda: smoothed_normal_basis(4, np.zeros(1)), ValueError, "two grid points"),
         (lambda: smoothed_normal_basis(4, _T + 1.0), ValueError, "start at t=0"),
+        (lambda: smoothed_normal_basis(4, np.zeros(3)), ValueError, "step must be positive"),
+        (lambda: smoothed_normal_basis(4, -_T), ValueError, "step must be positive"),
     ],
     ids=["lu-factor-non-square", "matrix-exp-non-square", "mismatched-A-B", "spectrum-N-0",
          "init-real-N-0", "spec-B-length", "kernel-of-dense-disc", "softmax-L-0",
          "dense-kernel-L-0", "discrete-basis-L-0", "sample-basis-non-spec",
          "legendre-n-max-negative", "gauss-legendre-no-nodes", "smoothed-one-point",
-         "smoothed-grid-not-at-0"],
+         "smoothed-grid-not-at-0", "smoothed-zero-step", "smoothed-negative-step"],
 )
 def test_input_guards_raise(call, error, message):
     with pytest.raises(error, match=message):

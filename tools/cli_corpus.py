@@ -144,6 +144,9 @@ def _corpus() -> list[tuple[dict, list[str]]]:
         (plain, ["basis", "--dense", "legs", "--N", "8", "--t-max", "0", "--points", "3"]),
         (plain, ["basis", "--dense", "legs", "--N", "8", "--t-max", "-1", "--points", "3"]),
         (plain, ["basis", "--dense", "legs", "--N", "12", "--points", "2", "--t-max", "0.5"]),
+        # the smoothed normal basis needs a positive step: both exit 2 naming it
+        (plain, ["basis", "--dense", "normal", "--N", "8", "--t-max", "0", "--points", "3"]),
+        (plain, ["basis", "--dense", "normal", "--N", "8", "--t-max", "-1", "--points", "3"]),
         (plain, ["verify"]),
         # the probe sizes are fixed, so this line and the two --N-list lines below exit 2
         # (unrecognized arguments); no input makes a probe fail, and no line exits 1
