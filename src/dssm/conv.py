@@ -3,8 +3,9 @@
 The recurrence doubles as the ground-truth oracle for the Vandermonde kernel
 and as the autoregressive mode (it returns its final state so scans can be
 chunked).  It runs in blocks of 64 steps: the diagonal recurrence turns a
-block into two small matmuls with tables built from one power table
-a^0..a^64 (the chunked form of state-space duality, Dao & Gu, arXiv
+block into one small matmul that gives its outputs and its end state (two
+while the state is wider than the block), with tables built from one power
+table a^0..a^64 (the chunked form of state-space duality, Dao & Gu, arXiv
 2405.21060, §6).  A call that starts a scan builds the tables; the returned
 state carries them, with the current block, to the next call.  Blocks sit at
 fixed positions of the stream, so a scan continued from a returned state
@@ -16,10 +17,11 @@ scan builds its own tables, so the kernel-vs-scan oracles stay independent.
 The FFT is a local power-of-two four-step transform (matmuls with cached DFT
 matrices of at most 32 points and twiddle tables), run forward only; it can
 skip a zero upper half of its input and form only the lower half of its
-output.  The convolution transforms its real rows and kernel as half spectra
-of half-length packed transforms, and inverts through the conjugate with one
-complex transform of the completed product, each row prescaled by a power of
-two.
+output.  The convolution packs its real rows and kernel two samples per
+point into half-length transforms, filters each row's packed spectrum by a
+pair filter built from the kernel's, and inverts through the conjugate with
+one half-length head-only transform, each row prescaled by a power of two and
+checked against direct sums of its last two outputs.
 Both the convolution and the scan reject a non-finite input sample.
 """
 
@@ -92,6 +94,7 @@ class _ScanCarry(NamedTuple):
 _SCAN_BLOCK = 64  # steps per recurrent_scan block
 
 
+_TINY = float(np.finfo(float).tiny)  # the least normal double
 _LEVEL_BITS = 5  # a transform of at most 2^5 = 32 points is one matmul
 
 
@@ -121,66 +124,83 @@ def _fft_pow2(x: np.ndarray, n: int | None = None, head: bool = False) -> np.nda
 
     x holds the first n or n/2 samples of the n-point input, the rest being
     zero (n defaults to x's length); head=True forms outputs 0..n/2-1 only.
-    A level views x as (…, n1, n/n1) with n1 = _split(n), transforms the
-    n1-axis through the columns of W that meet data, twiddles, recurses on
-    the last axis (for its head only: output k1 + n1·k2 < n/2 needs
-    k2 < n/(2·n1)) and transposes so output k1 + n1·k2 lands in place.  The
-    base level is one 2-D matmul (Markel 1971 prunes the same zeros and
+    A level views the last axis as (n1, n/n1) with n1 = _split(n),
+    transforms the n1-axis through the columns of W that meet data, twiddles
+    and hands the last axis to the next level; the base level is one 2-D
+    matmul, for the head only forming its lower half (output
+    k1 + n1·k2 + ... < n/2 needs the last digit below half its level).  The
+    digits then sit one axis each, first digit first, and one transpose puts
+    output k1 + n1·k2 + ... in place (Markel 1971 prunes the same zeros and
     unread outputs).  It runs forward only; the unscaled inverse is
     conj(_fft_pow2(conj(x)))."""
     n = x.shape[-1] if n is None else n
+    batch = x.ndim - 1
     W, T = _dft_tables(n)
-    n1, n2 = T.shape
-    batch = x.shape[:-1]
-    if n2 == 1:
-        y = x.reshape(-1, x.shape[-1]) @ W[: x.shape[-1], : n // 2 if head else n]
-        return y.reshape(*batch, -1)
-    rows = x.shape[-1] // n2
-    y = W[:, :rows] @ x.reshape(*batch, rows, n2)
-    y *= T
-    return _fft_pow2(y, head=head).swapaxes(-1, -2).reshape(*batch, -1)
+    while T.shape[1] > 1:
+        n = T.shape[1]
+        rows = x.shape[-1] // n
+        x = W[:, :rows] @ x.reshape(*x.shape[:-1], rows, n)
+        x *= T
+        W, T = _dft_tables(n)
+    x = (x.reshape(-1, x.shape[-1]) @ W[: x.shape[-1], : n // 2 if head else n]).reshape(*x.shape[:-1], -1)
+    return x.transpose(*range(batch), *range(x.ndim - 1, batch - 1, -1)).reshape(*x.shape[:batch], -1)
 
 
 @functools.cache
-def _real_twiddles(m: int) -> np.ndarray:
-    """Read-only -(i/2)·exp(-2πi k/m) for k = 0..m/2 (see _real_spectrum)."""
-    t = -0.5j * np.exp(-2j * np.pi * np.arange(m // 2 + 1) / m)
-    t.flags.writeable = False
-    return t
+def _filter_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (P, R) of the pair filter of an m-point convolution (see
+    fft_causal_conv): P_k = ½ − (i/2)·sin θ_k·e^{iθ_k} and
+    R_k = ½·cos θ_k·e^{iθ_k} for k < m/2, θ_k = 2πk/m."""
+    theta = 2 * np.pi * np.arange(m // 2) / m
+    turn = np.exp(1j * theta)
+    P = 0.5 - 0.5j * np.sin(theta) * turn
+    R = 0.5 * np.cos(theta) * turn
+    P.flags.writeable = R.flags.writeable = False
+    return P, R
 
 
-def _real_spectrum(x: np.ndarray, m: int) -> np.ndarray:
-    """Bins 0..m/2 of the m-point DFT of the real x (len(x) <= m/2, zero-padded)
-    from one h-point transform, h = m/2 (Cooley, Lewis & Welch 1970): pack
-    z_j = x_2j + i·x_2j+1, whose upper half is zero, and split its Z by
-    X_k = ½(Z_k + conj Z_{h−k}) − (i/2)·e^{−2πik/m}·(Z_k − conj Z_{h−k})."""
-    h = m // 2
+def _packed_spectrum(x: np.ndarray, h: int) -> np.ndarray:
+    """The h-point DFT of the real x (len(x) <= h) packed in pairs,
+    z_j = x_2j + i·x_2j+1; for h > 1 the upper half of z is zero."""
     z = np.zeros(max(h // 2, 1), dtype=complex)
     z.view(float)[: len(x)] = x
-    Z = _fft_pow2(z, h)
-    Z = np.append(Z, Z[0])  # Z_h = Z_0
-    mirror = np.conj(Z[::-1])
-    return 0.5 * (Z + mirror) + _real_twiddles(m) * (Z - mirror)
+    return _fft_pow2(z, h)
+
+
+def _mirror(Z: np.ndarray) -> np.ndarray:
+    """Z_{(h-k) mod h} for k < h = len(Z)."""
+    return np.concatenate([Z[:1], Z[:0:-1]])
 
 
 def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     """Causal convolution y_l = sum_{j<=l} K_j u_{l-j} via zero-padded FFTs.
 
-    Transforms use the next power of two m >= 2L, so linear (not circular)
-    convolution is recovered on the first L outputs.  The kernel and each
-    row enter as half spectra (_real_spectrum, bins 0..m/2); their product
-    S = conj(DFT(u)) · conj(DFT(K)) / m is completed above m/2 by conjugate
-    symmetry, and one complex transform, of which only outputs below m/2
-    are formed, gives DFT(S) = conj(y).  Its sums reach m·max|u|·Σ|K|
-    while |y_l| <= max|u|·Σ|K|, so the row is scaled by 2^-k (k > 0 only
-    near overflow) and its output by 2^k, exactly: only an output beyond
-    the largest double becomes inf.  S is Hermitian by construction (bin
-    m/2 keeps a rounding-level imaginary part), so the imaginary residue
-    measures the inverse's own rounding; it is checked against 1e-9 times max|u_row| * sum|K| of the
-    scaled row, the bound on its |y_l|, before discarding; a bound from the
-    outputs would reject exact outputs that cancel to zero.  A non-finite
-    input sample is an error: it would turn every output of its row into
-    NaN.
+    The padded length is the next power of two m >= 2L, so linear (not
+    circular) convolution is recovered on the first L outputs.  Every
+    transform has h = m/2 points: real data enter packed in pairs,
+    z_j = x_2j + i·x_2j+1 (Cooley, Lewis & Welch 1970), and the product with
+    the kernel is a pair filter in that packed domain.  With Z a row's packed
+    spectrum, G the m-point DFT of K over h and θ_k = 2πk/m, the packed
+    output's spectrum is V_k = α_k·Z_k + β_k·conj Z_{h−k} for k < h (Z's
+    indices mod h), where
+        α_k = ½(1 − sin θ_k)·G_k + ½(1 + sin θ_k)·conj G_{h−k},
+        β_k = (i/2)·cos θ_k·(G_k − conj G_{h−k}).
+    Both come once per call from the kernel's packed spectrum ZK over h: with
+    D_k = conj ZK_k − ZK_{h−k}, conj α_k = ZK_{h−k} + P_k·D_k and
+    conj β_k = R_k·D_k (_filter_tables).  One head-only transform of conj V
+    is the packed output conjugated, so the odd samples flip sign on
+    unpacking.
+
+    Its sums reach m·max|u|·Σ|K| while |y_l| <= max|u|·Σ|K|, so the row is
+    scaled by 2^-k (k > 0 only near overflow) and its output by 2^k,
+    exactly: only an output beyond the largest double becomes inf.  The last
+    two outputs are checked against their direct sums over the scaled row
+    (y_{L-1} = K[::-1] · row), to 1e-9 times max|row| * sum|K|, the bound on
+    any |y_l|.  Every tap and every sample enter y_{L-1}, so a fault
+    anywhere in the chain, unpacking included, moves it, and the two outputs
+    are one real and one imaginary part of the inverse's output; a bound
+    from the outputs would reject exact outputs that cancel to zero.  A non-finite input sample is
+    an error: it would turn every output of its row into NaN.
     """
     L = K.L
     if L < 1:
@@ -188,21 +208,39 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     if u.length != L:
         raise ValueError(f"signal length {u.length} != kernel length {L}")
     m = 1 << (2 * L - 1).bit_length()
-    K_c = np.conj(_real_spectrum(K.values, m)) / m  # the inverse's scaling, exact for a power of two
+    h = m // 2
+    P, R = _filter_tables(m)
+    ZK = _packed_spectrum(K.values, h)
+    ZK /= h  # the inverse's scaling, exact for a power of two
+    alpha = _mirror(ZK)
+    D = np.conj(ZK)
+    D -= alpha
+    beta = R * D  # conj β
+    D *= P
+    alpha += D  # conj α
     gain = float(np.abs(K.values).sum())
     headroom = math.frexp(max(gain, 1.0))[1] + m.bit_length() - 1022  # k keeps every sum < 2^1021
 
     rows = _finite_rows(u)
+    peaks = np.abs(rows).max(axis=1)
+    shifts = [max(0, math.frexp(float(peak))[1] + headroom) for peak in peaks]
+    scaled = np.ldexp(rows, -np.array(shifts)[:, None]) if any(shifts) else rows
+    reverse = K.values[::-1]
+    direct = [scaled @ reverse, scaled[:, :-1] @ reverse[1:]][: min(L, 2)]  # y_{L-1}, y_{L-2}
     out = np.empty_like(rows)
-    for i, row in enumerate(rows):
-        k = max(0, math.frexp(float(np.abs(row).max()))[1] + headroom)
-        scaled = np.ldexp(row, -k)
-        half = np.conj(_real_spectrum(scaled, m)) * K_c
-        y = _fft_pow2(np.concatenate([half, np.conj(half[-2:0:-1])]), head=True)[:L]
-        bound = 1e-9 * max(float(np.abs(scaled).max()) * gain, np.finfo(float).tiny)
-        if float(np.abs(y.imag).max()) > bound:
-            raise ValueError("unexpected imaginary residue in convolution output")
-        out[i] = np.ldexp(y.real, k)
+    for i, k in enumerate(shifts):
+        Z = _packed_spectrum(scaled[i], h)
+        mirror = _mirror(Z)
+        mirror *= beta
+        V = np.conjugate(Z, out=Z)
+        V *= alpha
+        V += mirror  # conj V
+        y = _fft_pow2(V, head=h > 1).view(float)[:L]
+        y[1::2] *= -1.0  # conj(y) packed: the odd samples flip sign
+        bound = 1e-9 * max(math.ldexp(peaks[i], -k) * gain, _TINY)
+        if any(abs(y[L - 1 - j] - d[i]) > bound for j, d in enumerate(direct)):
+            raise ValueError("convolution output differs from its direct check")
+        out[i] = np.ldexp(y, k) if k else y
     return Signal(samples=out if u.samples.ndim == 2 else out[0])
 
 
@@ -233,27 +271,50 @@ def _state_rows(x: np.ndarray, channels: int, n: int) -> np.ndarray:
     return x
 
 
+# the Toeplitz factor's gather: entry (i, j) reads index T-1+j-i of _block_tables' lagged
+_TOEPLITZ = np.arange(_SCAN_BLOCK - 1, 2 * _SCAN_BLOCK - 1) - np.arange(_SCAN_BLOCK)[:, None]
+
+
 def _block_tables(a, b, C, weight):
     """The three tables of one T-step block, all from the powers a^0..a^T.
 
-    readout, (T + 2n, T): a block row [u_0..u_{T-1}, Re s_0, Im s_0, ...]
+    powers, (T + 1, n): a^l in row l, a transposed view of one cumprod along
+    the contiguous axis.
+    readout, (T + 2n, T + c): a block row [u_0..u_{T-1}, Re s_0, Im s_0, ...]
     times readout is the block's output: the upper-triangular Toeplitz factor
     K_{j-i} on top of the free response w Re(C_n a_n^(j+1) s_n) in real form.
+    While n <= T its c = 2n further columns give the block's end state in the
+    same interleaved real form: inject on top of the 2×2 real blocks of
+    s_n a_n^T.  For larger n, c = 0: the (T + 2n)² matmul would cost more
+    than the O(nT) update it replaces (break-even near n = 96).
     inject, (T, 2n): u_i's share a_n^(T-1-i) b_n of the state at the block's
     end, as interleaved re/im columns.
     """
     T = _SCAN_BLOCK
     n = len(a)
-    powers = np.cumprod(np.vstack([np.ones(n, dtype=complex), np.broadcast_to(a, (T, n))]), axis=0)
-    readout = np.empty((T + 2 * n, T))
+    grid = np.empty((n, T + 1), dtype=complex)
+    grid[:, 0] = 1.0
+    grid[:, 1:] = a[:, None]
+    np.cumprod(grid, axis=1, out=grid)
+    fused = n <= T
+    width = T + 2 * n if fused else T
+    readout = np.empty((T + 2 * n, width))
     lagged = np.zeros(2 * T - 1)  # K_{j-i} at index T-1+j-i, zero for j < i
-    lagged[T - 1 :] = weight * (powers[:T] @ (C * b)).real
-    readout[:T] = lagged[np.arange(T - 1, 2 * T - 1) - np.arange(T)[:, None]]
-    free = weight * C * powers[1:]
-    readout[T::2] = free.real.T
-    readout[T + 1 :: 2] = -free.imag.T
-    inject = np.ascontiguousarray(powers[T - 1 :: -1] * b).view(float)
-    return powers, readout, inject
+    lagged[T - 1 :] = weight * ((C * b) @ grid[:, :T]).real
+    readout[:T, :T] = lagged[_TOEPLITZ]
+    free = (weight * C)[:, None] * grid[:, 1:]
+    readout[T::2, :T] = free.real
+    np.negative(free.imag, out=readout[T + 1 :: 2, :T])
+    inject = readout[:T, T:] if fused else np.empty((T, 2 * n))
+    np.multiply(grid[:, T - 1 :: -1].T, b, out=inject.view(complex))
+    if fused:  # the 2×2 blocks [[Re, Im], [-Im, Re]] of a^T on the diagonal of readout[T:, T:]
+        readout[T:, T:] = 0.0
+        flat = readout.reshape(-1)  # (T + r, T + c) sits at flat[(T + r) * width + T + c]
+        diagonal = flat[T * width + T :: width + 1]
+        diagonal[0::2] = diagonal[1::2] = grid[:, T].real
+        flat[T * width + T + 1 :: 2 * width + 2] = grid[:, T].imag
+        flat[(T + 1) * width + T :: 2 * width + 2] = -grid[:, T].imag
+    return grid.T, readout, inject
 
 
 def recurrent_scan(
@@ -275,14 +336,15 @@ def recurrent_scan(
     The scan runs in blocks of T = 64 steps anchored at the stream start.  A
     block with start state s and inputs u (zero-padded to T) gives its outputs
     as [u, s] @ readout and the next start state as s a^T + u @ inject (see
-    _block_tables).  A call that continues a partial block recomputes that
-    block from the carried inputs and emits only the new samples.  Every
-    block runs the same full-width matmuls whether it is padded or not, and
-    the Toeplitz factor is zero below the diagonal, so padding only adds
-    exact zeros: that is what makes continuation bit-exact.  A call computes
-    at least one whole block, and a call that starts a grid also builds the
-    tables, so a call of one sample costs more than one step of
-    _sequential_scan; continued calls of a few samples or more cost less.
+    _block_tables); while n <= T that one matmul gives both.  A call that
+    continues a partial block recomputes that block from the carried inputs
+    and emits only the new samples.  Every block runs the same full-width
+    matmul whether it is padded or not, and the Toeplitz factor is zero below
+    the diagonal, so padding only adds exact zeros: that is what makes
+    continuation bit-exact.  A call computes at least one whole block, and a
+    call that starts a grid also builds the tables, so a call of one sample
+    costs more than one step of _sequential_scan; continued calls of a few
+    samples or more cost less.
     """
     a, b, C, weight, rows = _scan_operands(disc, C, u, conj_pairs)
     channels, L = rows.shape
@@ -302,18 +364,28 @@ def recurrent_scan(
     done = pending.shape[1]
     end = done + L
     rest = end % T
-    stream = np.zeros((channels, -(-end // T) * T))  # whole blocks, the last one zero-padded
-    stream[:, :done] = pending
-    stream[:, done:end] = rows
+    blocks = -(-end // T)
+    if done or rest:
+        stream = np.zeros((channels, blocks * T))  # whole blocks, the last one zero-padded
+        stream[:, :done] = pending
+        stream[:, done:end] = rows
+    else:
+        stream = rows  # whole blocks already
 
-    out = np.empty_like(stream)
     work = np.empty((channels, T + 2 * n))  # one block row: inputs, then Re/Im of its start state
-    for k in range(0, stream.shape[1], T):
-        work[:, :T] = stream[:, k : k + T]
-        work[:, T:] = s.view(float)
-        out[:, k : k + T] = work @ readout
-        if k + T <= end:
-            s = s * powers[T] + (work[:, :T] @ inject).view(complex)
+    work[:, T:] = s.view(float)
+    s = work[:, T:].view(complex)  # steps in place, block by block
+    results = np.empty((blocks, channels, readout.shape[1]))  # each block's [outputs, end state]
+    for k in range(blocks):
+        work[:, :T] = stream[:, k * T : (k + 1) * T]
+        np.matmul(work, readout, out=results[k])
+        if (k + 1) * T > end:
+            break  # the zero-padded last block: its outputs only
+        if readout.shape[1] > T:
+            work[:, T:] = results[k, :, T:]
+        else:
+            s *= powers[T]
+            s += (work[:, :T] @ inject).view(complex)
     x = s
     if rest:  # the state after `rest` steps: inputs right-aligned against a^(T-1-i) b
         aligned = np.zeros((channels, T))
@@ -321,7 +393,7 @@ def recurrent_scan(
         x = s * powers[rest] + (aligned @ inject).view(complex)
     x.flags.writeable = False  # an edit in place would bypass the carry, so it raises
     x = x if u.samples.ndim == 2 else x[0]
-    y = out[:, done:end]
+    y = results[:, :, :T].transpose(1, 0, 2).reshape(channels, -1)[:, done:end]
     final = RecurrentState(x, _ScanCarry(x, key, tables, s, stream[:, end - rest : end].copy()))
     return Signal(samples=y if u.samples.ndim == 2 else y[0]), final
 

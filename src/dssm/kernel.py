@@ -205,11 +205,12 @@ def sample_basis(spec: DiagonalSpec | DenseSpec, t_grid: np.ndarray) -> np.ndarr
 
     Diagonal specs evaluate exp(t A_n) B_n in closed form on any grid.
     Dense specs need an evenly spaced grid (see _uniform_spacing) and take
-    one orbit of the propagator exp(h A) of its step h from exp(t_0 A) B.
-    An orbit that steps backward (h < 0) from t_0 > 0 amplifies rounding: a
-    stable stiff A makes exp(h A) grow the error of exp(t_0 A) B at each
+    one orbit of the propagator exp(|h| A) of its step h from the end the
+    orbit steps forward from: t_0 for h >= 0, the last point for h < 0, whose
+    columns are then reversed.  A backward orbit would amplify rounding: a
+    stable stiff A makes exp(h A), h < 0, grow the error of its start at each
     step (LegS N = 12 on linspace(1, -0.1, 9): 5.6e-8 of max|value| from
-    per-point exp(t_j A) B, against 8e-13 from t_0 = 0).
+    per-point exp(t_j A) B, against 1e-15 stepping forward from -0.1).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) < 1:
@@ -221,5 +222,7 @@ def sample_basis(spec: DiagonalSpec | DenseSpec, t_grid: np.ndarray) -> np.ndarr
 
     A, B = spec.A, spec.B
     h = _uniform_spacing(t)
-    x0 = dense_matrix_exp(t[0] * A) @ B if t[0] != 0.0 else B
-    return _orbit(dense_matrix_exp(h * A), x0, len(t))
+    start = t[0] if h >= 0 else t[-1]
+    x0 = dense_matrix_exp(start * A) @ B if start != 0.0 else B
+    values = _orbit(dense_matrix_exp(abs(h) * A), x0, len(t))
+    return values if h >= 0 else values[:, ::-1]

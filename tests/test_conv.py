@@ -8,7 +8,8 @@ from dssm.conv import (
     RecurrentState,
     Signal,
     _fft_pow2,
-    _real_spectrum,
+    _filter_tables,
+    _packed_spectrum,
     _sequential_scan,
     _split,
     fft_causal_conv,
@@ -82,11 +83,20 @@ class TestFftPow2:
 class TestRealSpectrum:
     @pytest.mark.parametrize("L, m", [(1, 2), (2, 4), (3, 8), (17, 64), (4096, 8192), (4097, 16384)])
     def test_against_numpy_rfft_oracle(self, L, m):
+        # the packed h-point spectrum Z holds bins 0..m/2 of the real x's
+        # m-point DFT (Cooley, Lewis & Welch): the identity the pair filter
+        # of fft_causal_conv is built on
+        h = m // 2
         x = np.random.default_rng(L).standard_normal(L)
+        Z = _packed_spectrum(x, h)
+        padded = np.zeros(m)
+        padded[:L] = x
+        np.testing.assert_allclose(Z, np.fft.fft(padded[0::2] + 1j * padded[1::2]), rtol=0, atol=1e-12 * L)
+        Z = np.append(Z, Z[0])  # Z_h = Z_0
+        mirror = np.conj(Z[::-1])
+        split = 0.5 * (Z + mirror) - 0.5j * np.exp(-2j * np.pi * np.arange(h + 1) / m) * (Z - mirror)
         expected = np.fft.rfft(x, m)
-        got = _real_spectrum(x, m)
-        assert got.shape == (m // 2 + 1,)
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(split - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestFftCausalConv:
@@ -113,7 +123,7 @@ class TestFftCausalConv:
 
     def test_multichannel(self):
         rng = np.random.default_rng(22)
-        for L in (128, 4096):
+        for L in (1, 3, 65, 128, 4096):
             u = rng.standard_normal((3, L))
             k = rng.standard_normal(L)
             out = fft_causal_conv(Signal(u), as_kernel(k))
@@ -133,19 +143,33 @@ class TestFftCausalConv:
             reference = np.fft.irfft(np.fft.rfft(u, m) * np.fft.rfft(k, m), m)[:, :L]
             assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max(), L
 
-    def test_imaginary_residue_raises(self, monkeypatch):
-        # the completed spectrum is Hermitian, so the inverse's output is real
-        # but for rounding; an imaginary part beyond the 1e-9 bound must raise
+    def test_direct_check_raises(self, monkeypatch):
+        # a real offset of 1e-6 of max|y| on the head-only inverse's outputs
+        # moves the even samples, y_{L-2} among them, off their direct sums
+        # by far more than the 1e-9 bound
         plain = conv_module._fft_pow2
 
-        def skewed(x, n=None, head=False):
+        def offset(x, n=None, head=False):
             y = plain(x, n, head)
-            return y + 1e-6j * np.abs(y).max() if head else y
+            return y + 1e-6 * np.abs(y).max() if head else y
 
-        monkeypatch.setattr(conv_module, "_fft_pow2", skewed)
+        monkeypatch.setattr(conv_module, "_fft_pow2", offset)
         u = np.random.default_rng(30).standard_normal(64)
-        with pytest.raises(ValueError, match="unexpected imaginary residue"):
+        with pytest.raises(ValueError, match="direct check"):
             fft_causal_conv(Signal(u), as_kernel(np.ones(64)))
+
+    @pytest.mark.parametrize(
+        "fault",
+        [lambda P, R: (np.conj(P), R), lambda P, R: (P, -R), lambda P, R: (P, np.zeros_like(R))],
+        ids=["conj-P", "negated-R", "zero-R"],
+    )
+    @pytest.mark.parametrize("L", [3, 64, 4097])
+    def test_filter_table_faults_raise(self, monkeypatch, fault, L):
+        # a wrong pair filter gives wrong outputs everywhere, the last included
+        monkeypatch.setattr(conv_module, "_filter_tables", lambda m: fault(*_filter_tables(m)))
+        rng = np.random.default_rng(L)
+        with pytest.raises(ValueError, match="direct check"):
+            fft_causal_conv(Signal(rng.standard_normal((2, L))), as_kernel(rng.standard_normal(L)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
@@ -154,7 +178,7 @@ class TestFftCausalConv:
     @pytest.mark.parametrize("L", [2, 7, 100, 4096])
     def test_output_that_cancels_to_zero(self, L):
         # K_0 = 0 and only the last input sample nonzero: every exact output
-        # is zero, so the residue must be judged against |u| * sum|K|, not |y|
+        # is zero, so the direct check must be judged against |u| * sum|K|, not |y|
         rng = np.random.default_rng(L)
         k = rng.standard_normal(L)
         k[0] = 0.0
@@ -400,6 +424,26 @@ class TestBlockedScan:
         assert len(pieces) > 20
         np.testing.assert_array_equal(np.concatenate(pieces, axis=-1), whole.samples)
         np.testing.assert_array_equal(state.x, state_whole.x)
+
+    @pytest.mark.parametrize("n_half", [64, 65])
+    def test_state_update_in_and_beside_the_block_matmul(self, n_half):
+        # up to 64 modes the block's one matmul also gives its end state; a
+        # wider state is updated beside it.  Both match the reference, and a
+        # split call equals one call bit for bit
+        rng = np.random.default_rng([38, n_half])
+        spec, dt = random_stable_spec(rng, n_half)
+        disc = discretize(spec.A_half, spec.B_half, dt, "zoh")
+        u = signal_rows(rng, 2, 300)
+        self.assert_matches_reference(disc, spec.C_half, u)
+        whole, state_whole = recurrent_scan(disc, spec.C_half, Signal(u))
+        pieces, state = [], None
+        for start, stop in ((0, 64), (64, 100), (100, 229), (229, 300)):
+            out, state = recurrent_scan(disc, spec.C_half, Signal(u[:, start:stop]), state=state)
+            pieces.append(out.samples)
+        np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole.samples)
+        np.testing.assert_array_equal(state.x, state_whole.x)
+        readout = state._carry.tables[1]
+        assert readout.shape[1] == (64 + 2 * n_half if n_half <= 64 else 64)
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_replaced_x_starts_a_new_grid(self, channels):

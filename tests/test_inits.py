@@ -46,6 +46,14 @@ class TestLegsD:
         with pytest.raises(ValueError):
             init_legsd(7)
 
+    @pytest.mark.parametrize("N", [2, 4, 16, 64, 256])
+    def test_half_spectrum_has_positive_imaginary_parts(self, N):
+        # S = A_normal + I/2 is nonsingular at even N (see init_legsd), and
+        # its smallest σ (0.26 at N = 64, 0.18 at N = 1024) sits far above
+        # the engine's rounding, about ε·max σ
+        sigma = init_legsd(N).A_half.imag
+        assert sigma.min() > 1e6 * np.finfo(float).eps * sigma.max()
+
 
 class TestClosedFormFamilies:
     def test_inv_values(self):

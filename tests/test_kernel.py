@@ -397,8 +397,10 @@ class TestSampleBasis:
     @pytest.mark.parametrize(
         "t",
         [np.linspace(0.0, 2.0, 9), np.linspace(0.0, -0.1, 9), np.full(4, 0.7), np.array([1.3]),
-         np.linspace(0.0, 5e-324, 4)],  # subnormal steps 0, 0, 5e-324: even up to rounding
-        ids=["positive-step", "negative-step", "zero-step", "one-point", "subnormal-step"],
+         np.linspace(0.0, 5e-324, 4),  # subnormal steps 0, 0, 5e-324: even up to rounding
+         np.linspace(1.0, -0.1, 9)],  # backward from t_0 > 0: the orbit runs forward from -0.1
+        ids=["positive-step", "negative-step", "zero-step", "one-point", "subnormal-step",
+             "backward-from-positive"],
     )
     def test_dense_orbit_matches_pointwise_exponentials(self, t):
         legs, _ = make_hippo_legs(12)

@@ -258,6 +258,8 @@ _T = np.linspace(0.0, 1.0, 3)
         (lambda: lu_factor(np.zeros((2, 3))), ValueError, "square"),
         (lambda: dense_matrix_exp(np.zeros((2, 3))), ValueError, "square"),
         (lambda: discretize(np.zeros(2), np.ones(3), 0.1, "zoh"), ValueError, "same length"),
+        (lambda: discretize(np.zeros((2, 3)), np.ones(2), 0.1, "zoh"), ValueError, "square matrix"),
+        (lambda: discretize(-np.eye(2), np.ones(3), 0.1, "bilinear"), ValueError, "matching B"),
         (lambda: hippo_d_spectrum(0), ValueError, "state size"),
         (lambda: init_real(0), ValueError, "state size"),
         (lambda: DiagonalSpec(A_half=-np.ones(2), B_half=np.ones(3)), ValueError, "B_half"),
@@ -275,7 +277,8 @@ _T = np.linspace(0.0, 1.0, 3)
         (lambda: smoothed_normal_basis(4, np.zeros(3)), ValueError, "step must be positive"),
         (lambda: smoothed_normal_basis(4, -_T), ValueError, "step must be positive"),
     ],
-    ids=["lu-factor-non-square", "matrix-exp-non-square", "mismatched-A-B", "spectrum-N-0",
+    ids=["lu-factor-non-square", "matrix-exp-non-square", "mismatched-A-B", "non-square-A",
+         "dense-A-mismatched-B", "spectrum-N-0",
          "init-real-N-0", "spec-B-length", "kernel-of-dense-disc", "softmax-L-0",
          "dense-kernel-L-0", "discrete-basis-L-0", "sample-basis-non-spec",
          "legendre-n-max-negative", "gauss-legendre-no-nodes", "smoothed-one-point",
