@@ -309,11 +309,10 @@ def _block_tables(a, b, C, weight):
     np.multiply(grid[:, T - 1 :: -1].T, b, out=inject.view(complex))
     if fused:  # the 2×2 blocks [[Re, Im], [-Im, Re]] of a^T on the diagonal of readout[T:, T:]
         readout[T:, T:] = 0.0
-        flat = readout.reshape(-1)  # (T + r, T + c) sits at flat[(T + r) * width + T + c]
-        diagonal = flat[T * width + T :: width + 1]
-        diagonal[0::2] = diagonal[1::2] = grid[:, T].real
-        flat[T * width + T + 1 :: 2 * width + 2] = grid[:, T].imag
-        flat[(T + 1) * width + T :: 2 * width + 2] = -grid[:, T].imag
+        re = np.arange(T, T + 2 * n, 2)
+        readout[re, re] = readout[re + 1, re + 1] = grid[:, T].real
+        readout[re, re + 1] = grid[:, T].imag
+        readout[re + 1, re] = -grid[:, T].imag
     return grid.T, readout, inject
 
 
