@@ -199,8 +199,9 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     any |y_l|.  Every tap and every sample enter y_{L-1}, so a fault
     anywhere in the chain, unpacking included, moves it, and the two outputs
     are one real and one imaginary part of the inverse's output; a bound
-    from the outputs would reject exact outputs that cancel to zero.  A non-finite input sample is
-    an error: it would turn every output of its row into NaN.
+    from the outputs would reject exact outputs that cancel to zero.  A
+    non-finite input sample is an error: it would turn every output of its
+    row into NaN.
     """
     L = K.L
     if L < 1:
