@@ -3,9 +3,8 @@
 The recurrence doubles as the ground-truth oracle for the Vandermonde kernel
 and as the autoregressive mode (it returns its final state so scans can be
 chunked).  It runs in blocks of 64 steps: the diagonal recurrence turns a
-block into one small matmul that gives its outputs and its end state (two
-while the state is wider than the block), with tables built from one power
-table a^0..a^64 (the chunked form of state-space duality, Dao & Gu, arXiv
+block into two small matmuls with tables built from one power table
+a^0..a^64 (the chunked form of state-space duality, Dao & Gu, arXiv
 2405.21060, §6).  A call that starts a scan builds the tables; the returned
 state carries them, with the current block, to the next call.  Blocks sit at
 fixed positions of the stream, so a scan continued from a returned state
@@ -281,13 +280,9 @@ def _block_tables(a, b, C, weight):
 
     powers, (T + 1, n): a^l in row l, a transposed view of one cumprod along
     the contiguous axis.
-    readout, (T + 2n, T + c): a block row [u_0..u_{T-1}, Re s_0, Im s_0, ...]
+    readout, (T + 2n, T): a block row [u_0..u_{T-1}, Re s_0, Im s_0, ...]
     times readout is the block's output: the upper-triangular Toeplitz factor
     K_{j-i} on top of the free response w Re(C_n a_n^(j+1) s_n) in real form.
-    While n <= T its c = 2n further columns give the block's end state in the
-    same interleaved real form: inject on top of the 2×2 real blocks of
-    s_n a_n^T.  For larger n, c = 0: the (T + 2n)² matmul would cost more
-    than the O(nT) update it replaces (break-even near n = 96).
     inject, (T, 2n): u_i's share a_n^(T-1-i) b_n of the state at the block's
     end, as interleaved re/im columns.
     """
@@ -297,23 +292,15 @@ def _block_tables(a, b, C, weight):
     grid[:, 0] = 1.0
     grid[:, 1:] = a[:, None]
     np.cumprod(grid, axis=1, out=grid)
-    fused = n <= T
-    width = T + 2 * n if fused else T
-    readout = np.empty((T + 2 * n, width))
+    readout = np.empty((T + 2 * n, T))
     lagged = np.zeros(2 * T - 1)  # K_{j-i} at index T-1+j-i, zero for j < i
     lagged[T - 1 :] = weight * ((C * b) @ grid[:, :T]).real
-    readout[:T, :T] = lagged[_TOEPLITZ]
+    readout[:T] = lagged[_TOEPLITZ]
     free = (weight * C)[:, None] * grid[:, 1:]
-    readout[T::2, :T] = free.real
-    np.negative(free.imag, out=readout[T + 1 :: 2, :T])
-    inject = readout[:T, T:] if fused else np.empty((T, 2 * n))
+    readout[T::2] = free.real
+    np.negative(free.imag, out=readout[T + 1 :: 2])
+    inject = np.empty((T, 2 * n))
     np.multiply(grid[:, T - 1 :: -1].T, b, out=inject.view(complex))
-    if fused:  # the 2×2 blocks [[Re, Im], [-Im, Re]] of a^T on the diagonal of readout[T:, T:]
-        readout[T:, T:] = 0.0
-        re = np.arange(T, T + 2 * n, 2)
-        readout[re, re] = readout[re + 1, re + 1] = grid[:, T].real
-        readout[re, re + 1] = grid[:, T].imag
-        readout[re + 1, re] = -grid[:, T].imag
     return grid.T, readout, inject
 
 
@@ -336,15 +323,14 @@ def recurrent_scan(
     The scan runs in blocks of T = 64 steps anchored at the stream start.  A
     block with start state s and inputs u (zero-padded to T) gives its outputs
     as [u, s] @ readout and the next start state as s a^T + u @ inject (see
-    _block_tables); while n <= T that one matmul gives both.  A call that
-    continues a partial block recomputes that block from the carried inputs
-    and emits only the new samples.  Every block runs the same full-width
-    matmul whether it is padded or not, and the Toeplitz factor is zero below
-    the diagonal, so padding only adds exact zeros: that is what makes
-    continuation bit-exact.  A call computes at least one whole block, and a
-    call that starts a grid also builds the tables, so a call of one sample
-    costs more than one step of _sequential_scan; continued calls of a few
-    samples or more cost less.
+    _block_tables).  A call that continues a partial block recomputes that
+    block from the carried inputs and emits only the new samples.  Every
+    block runs the same full-width matmuls whether it is padded or not, and
+    the Toeplitz factor is zero below the diagonal, so padding only adds
+    exact zeros: that is what makes continuation bit-exact.  A call computes
+    at least one whole block, and a call that starts a grid also builds the
+    tables, so a call of one sample costs more than one step of
+    _sequential_scan; continued calls of a few samples or more cost less.
     """
     a, b, C, weight, rows = _scan_operands(disc, C, u, conj_pairs)
     channels, L = rows.shape
@@ -372,20 +358,14 @@ def recurrent_scan(
     else:
         stream = rows  # whole blocks already
 
+    out = np.empty((channels, blocks * T))
     work = np.empty((channels, T + 2 * n))  # one block row: inputs, then Re/Im of its start state
-    work[:, T:] = s.view(float)
-    s = work[:, T:].view(complex)  # steps in place, block by block
-    results = np.empty((blocks, channels, readout.shape[1]))  # each block's [outputs, end state]
-    for k in range(blocks):
-        work[:, :T] = stream[:, k * T : (k + 1) * T]
-        np.matmul(work, readout, out=results[k])
-        if (k + 1) * T > end:
-            break  # the zero-padded last block: its outputs only
-        if readout.shape[1] > T:
-            work[:, T:] = results[k, :, T:]
-        else:
-            s *= powers[T]
-            s += (work[:, :T] @ inject).view(complex)
+    for k in range(0, blocks * T, T):
+        work[:, :T] = stream[:, k : k + T]
+        work[:, T:] = s.view(float)
+        np.matmul(work, readout, out=out[:, k : k + T])
+        if k + T <= end:
+            s = s * powers[T] + (work[:, :T] @ inject).view(complex)
     x = s
     if rest:  # the state after `rest` steps: inputs right-aligned against a^(T-1-i) b
         aligned = np.zeros((channels, T))
@@ -393,7 +373,7 @@ def recurrent_scan(
         x = s * powers[rest] + (aligned @ inject).view(complex)
     x.flags.writeable = False  # an edit in place would bypass the carry, so it raises
     x = x if u.samples.ndim == 2 else x[0]
-    y = results[:, :, :T].transpose(1, 0, 2).reshape(channels, -1)[:, done:end]
+    y = out[:, done:end]
     final = RecurrentState(x, _ScanCarry(x, key, tables, s, stream[:, end - rest : end].copy()))
     return Signal(samples=y if u.samples.ndim == 2 else y[0]), final
 

@@ -81,22 +81,17 @@ class TestFftPow2:
 
 
 class TestRealSpectrum:
+    """_packed_spectrum: the h-point spectrum of a real row packed in pairs."""
+
     @pytest.mark.parametrize("L, m", [(1, 2), (2, 4), (3, 8), (17, 64), (4096, 8192), (4097, 16384)])
     def test_against_numpy_rfft_oracle(self, L, m):
-        # the packed h-point spectrum Z holds bins 0..m/2 of the real x's
-        # m-point DFT (Cooley, Lewis & Welch): the identity the pair filter
-        # of fft_causal_conv is built on
-        h = m // 2
+        # the identity that turns Z into the row's m-point real spectrum is
+        # checked end to end by TestFftCausalConv::test_against_numpy_rfft_oracle
         x = np.random.default_rng(L).standard_normal(L)
-        Z = _packed_spectrum(x, h)
         padded = np.zeros(m)
         padded[:L] = x
-        np.testing.assert_allclose(Z, np.fft.fft(padded[0::2] + 1j * padded[1::2]), rtol=0, atol=1e-12 * L)
-        Z = np.append(Z, Z[0])  # Z_h = Z_0
-        mirror = np.conj(Z[::-1])
-        split = 0.5 * (Z + mirror) - 0.5j * np.exp(-2j * np.pi * np.arange(h + 1) / m) * (Z - mirror)
-        expected = np.fft.rfft(x, m)
-        assert np.abs(split - expected).max() <= 1e-12 * np.abs(expected).max()
+        expected = np.fft.fft(padded[0::2] + 1j * padded[1::2])
+        np.testing.assert_allclose(_packed_spectrum(x, m // 2), expected, rtol=0, atol=1e-12 * L)
 
 
 class TestFftCausalConv:
@@ -424,26 +419,6 @@ class TestBlockedScan:
         assert len(pieces) > 20
         np.testing.assert_array_equal(np.concatenate(pieces, axis=-1), whole.samples)
         np.testing.assert_array_equal(state.x, state_whole.x)
-
-    @pytest.mark.parametrize("n_half", [64, 65])
-    def test_state_update_in_and_beside_the_block_matmul(self, n_half):
-        # up to 64 modes the block's one matmul also gives its end state; a
-        # wider state is updated beside it.  Both match the reference, and a
-        # split call equals one call bit for bit
-        rng = np.random.default_rng([38, n_half])
-        spec, dt = random_stable_spec(rng, n_half)
-        disc = discretize(spec.A_half, spec.B_half, dt, "zoh")
-        u = signal_rows(rng, 2, 300)
-        self.assert_matches_reference(disc, spec.C_half, u)
-        whole, state_whole = recurrent_scan(disc, spec.C_half, Signal(u))
-        pieces, state = [], None
-        for start, stop in ((0, 64), (64, 100), (100, 229), (229, 300)):
-            out, state = recurrent_scan(disc, spec.C_half, Signal(u[:, start:stop]), state=state)
-            pieces.append(out.samples)
-        np.testing.assert_array_equal(np.concatenate(pieces, axis=1), whole.samples)
-        np.testing.assert_array_equal(state.x, state_whole.x)
-        readout = state._carry.tables[1]
-        assert readout.shape[1] == (64 + 2 * n_half if n_half <= 64 else 64)
 
     @pytest.mark.parametrize("channels", [1, 3])
     def test_replaced_x_starts_a_new_grid(self, channels):

@@ -2,20 +2,23 @@
 
 Usage (from the repository root):
 
-    python tools/bench_pairs.py PARENT_ROOT CHILD_ROOT --workload W --pairs P \
-        --seeds S1 S2 ... --seed-traced S --out BENCH_N.json [--seconds 30] [--what TEXT]
+    python tools/bench_pairs.py PARENT_ROOT CHILD_ROOT --workload W \
+        --seeds S1 S2 ... --seed-traced S --out BENCH_N.json [--what TEXT]
 
 PARENT_ROOT and CHILD_ROOT are checkouts holding `perfbench/run.py` and
 `src/dssm`; each run is `python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0|1` started in its root, so each side measures its own
-tree.  Pair i uses seed S(i+1) and runs the parent first for even i and the
-child first for odd i.  Then one traced run per side, with --seed-traced,
+tree.  T (`run_seconds`) and the end-to-end metrics with their direction
+(`end_to_end`) come from PARENT_ROOT's BENCHMARK.json.  There is one pair
+per seed: pair i uses seed S(i+1) and runs the parent first for even i and
+the child first for odd i.  Then one traced run per side, with --seed-traced,
 gives the per-layer metrics (parent first).  The child's side is named
 "change" in the file.
 
 The file holds `order`, `seeds_untraced`, `seed_traced`, `summary` (per
 workload and end-to-end metric: each side's median and quartiles, the pairs
-the change won, the median ratio and the parent's interquartile range),
+the change won by the metric's `better` direction, the median ratio and the
+parent's interquartile range),
 `traced_per_layer` and `runs` (every run's last two JSON lines).  When OUT
 exists, the new workload replaces its old entries and the others are kept,
 so one file can gather several invocations.
@@ -28,9 +31,6 @@ import statistics
 import subprocess
 import sys
 import time
-
-END_TO_END = ("wall_s", "op_p50_s", "peak_rss_mb", "setup_s")  # all lower-is-better
-
 
 def _run(root, side, workload, seed, seconds, trace):
     start = time.time()
@@ -55,21 +55,24 @@ def _spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def _summary(runs, pairs):
+def _summary(runs, end_to_end):
+    """Per end-to-end metric ({"name", "better"} as in BENCHMARK.json), the
+    untraced runs paired by seed."""
     untraced = [r for r in runs if r["trace"] == 0]
     side = {s: sorted((r for r in untraced if r["side"] == s), key=lambda r: r["seed"]) for s in ("parent", "change")}
-    summary = {"pairs": pairs}
+    summary = {"pairs": len(side["parent"])}
     for s, name in (("parent", "parent_fail"), ("change", "change_fail")):
         results = [r["result"] for r in side[s]]
         summary[name] = f"{sum(r['failed'] for r in results)}/{sum(r['attempted'] for r in results)}"
-    for metric in END_TO_END:
-        parent = [r["result"]["metrics"][metric]["value"] for r in side["parent"]]
-        change = [r["result"]["metrics"][metric]["value"] for r in side["change"]]
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        parent = [r["result"]["metrics"][name]["value"] for r in side["parent"]]
+        change = [r["result"]["metrics"][name]["value"] for r in side["change"]]
         p, c = _spread(parent), _spread(change)
-        summary[metric] = {
+        summary[name] = {
             "parent": p,
             "change": c,
-            "change_wins": sum(b < a for a, b in zip(parent, change)),
+            "change_wins": sum(sign * b < sign * a for a, b in zip(parent, change)),
             "ties": sum(b == a for a, b in zip(parent, change)),
             "median_change_over_parent": c["median"] / p["median"],
             "parent_iqr": p["q3"] - p["q1"],
@@ -87,23 +90,24 @@ def main(argv=None):
     parser.add_argument("parent_root")
     parser.add_argument("child_root")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seed-traced", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", required=True)
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
-    if args.pairs < 2 or len(args.seeds) < args.pairs:
-        parser.error("need at least two pairs and one seed per pair")
+    if len(args.seeds) < 2:
+        parser.error("need at least two seeds, one per pair")
     roots = {"parent": os.path.abspath(args.parent_root), "change": os.path.abspath(args.child_root)}
+    with open(os.path.join(roots["parent"], "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    seconds = spec["run_seconds"]
 
     runs = []
-    for i, seed in enumerate(args.seeds[: args.pairs]):
+    for i, seed in enumerate(args.seeds):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs.append(_run(roots[side], side, args.workload, seed, args.seconds, 0))
+            runs.append(_run(roots[side], side, args.workload, seed, seconds, 0))
     for side in ("parent", "change"):
-        runs.append(_run(roots[side], side, args.workload, args.seed_traced, args.seconds, 1))
+        runs.append(_run(roots[side], side, args.workload, args.seed_traced, seconds, 1))
 
     bench = {}
     if os.path.exists(args.out):
@@ -111,13 +115,13 @@ def main(argv=None):
             bench = json.load(handle)
     env = runs[0]["environment"]
     order = (f"{args.workload}: pair i (seed {args.seeds[0]}, ...) runs parent first for even i and change "
-             f"first for odd i, {args.pairs} pairs; then one traced run per side with seed "
+             f"first for odd i, {len(args.seeds)} pairs; then one traced run per side with seed "
              f"{args.seed_traced}, parent first")
     previous = [line for line in bench.get("order", "").split("\n") if line and not line.startswith(args.workload + ":")]
     bench.update({
         "what": args.what or bench.get("what", ""),
         "command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds "
-                   f"{args.seconds:g} --trace 0|1, paired by tools/bench_pairs.py",
+                   f"{seconds:g} --trace 0|1, paired by tools/bench_pairs.py",
         "parent_commit": _commit(roots["parent"]),
         "numpy": env["numpy"],
         "cpu_count": env["cpu_count"],
@@ -129,7 +133,7 @@ def main(argv=None):
     bench["runs"] = kept + runs
     bench["seeds_untraced"] = sorted({r["seed"] for r in bench["runs"] if r["trace"] == 0})
     bench["seed_traced"] = sorted({r["seed"] for r in bench["runs"] if r["trace"] == 1})
-    bench.setdefault("summary", {})[args.workload] = _summary(runs, args.pairs)
+    bench.setdefault("summary", {})[args.workload] = _summary(runs, spec["end_to_end"])
     bench.setdefault("traced_per_layer", {})[args.workload] = {
         r["side"]: {k: v["value"] for k, v in r["result"]["metrics"].items()} for r in runs if r["trace"] == 1
     }
@@ -140,7 +144,7 @@ def main(argv=None):
         handle.write("\n")
     wall = bench["summary"][args.workload]["wall_s"]
     print(f"{args.workload} wall_s median {wall['parent']['median']:.4g} -> {wall['change']['median']:.4g} s, "
-          f"change won {wall['change_wins']}/{args.pairs}; parent IQR {wall['parent_iqr']:.3g} s")
+          f"change won {wall['change_wins']}/{len(args.seeds)}; parent IQR {wall['parent_iqr']:.3g} s")
     return 0
 
 
