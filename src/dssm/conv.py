@@ -225,7 +225,7 @@ def fft_causal_conv(u: Signal, K: Kernel) -> Signal:
     peaks = np.abs(rows).max(axis=1)
     shifts = [max(0, math.frexp(float(peak))[1] + headroom) for peak in peaks]
     scaled = np.ldexp(rows, -np.array(shifts)[:, None]) if any(shifts) else rows
-    reverse = K.values[::-1]
+    reverse = K.values[::-1].copy()  # contiguous, so the dots run in BLAS
     direct = [scaled @ reverse, scaled[:, :-1] @ reverse[1:]][: min(L, 2)]  # y_{L-1}, y_{L-2}
     out = np.empty_like(rows)
     for i, k in enumerate(shifts):

@@ -26,7 +26,6 @@ __all__ = [
     "init_rand",
     "init_inv_random_imag",
     "init_lin_random_imag",
-    "init_random_real",
     "init_C",
     "init_log_dt",
 ]
@@ -187,18 +186,6 @@ def init_lin_random_imag(N: int, seed: int) -> DiagonalSpec:
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, N / 2.0, half)
     return _spec(_lin_from_positions(u))
-
-
-def init_random_real(spec: DiagonalSpec, seed: int) -> DiagonalSpec:
-    """Replace every real part with an independent draw from -U[0,1)."""
-    rng = np.random.default_rng(seed)
-    re = -rng.uniform(0.0, 1.0, spec.n_half)
-    return DiagonalSpec(
-        A_half=re + 1j * spec.A_half.imag,
-        B_half=spec.B_half.copy(),
-        C_half=None if spec.C_half is None else spec.C_half.copy(),
-        conj_pairs=spec.conj_pairs,
-    )
 
 
 def init_C(N_half: int, seed: int) -> np.ndarray:

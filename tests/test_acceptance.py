@@ -3,7 +3,7 @@
 Each test prints a single CRITERION nn: PASS/FAIL line (run with -s to see
 them all); assertions carry the same detail.  Heavy spectra (N=1024) are
 computed once and cached inside the hippo module, so the slow criteria share
-one eigendecomposition.
+one spectrum solve.
 """
 
 import json
@@ -14,12 +14,7 @@ import numpy as np
 from dssm.cli import main
 from dssm.conv import Signal, _fft_pow2, fft_causal_conv, recurrent_scan
 from dssm.discretize import discretize
-from dssm.hippo import (
-    DenseSpec,
-    hermitian_eigendecompose,
-    hippo_d_spectrum,
-    make_hippo_normal,
-)
+from dssm.hippo import DenseSpec, hippo_d_spectrum, make_hippo_normal
 from dssm.inits import DiagonalSpec, constrain_real_parts
 from dssm.kernel import PAIR_OUTPUT_WEIGHT, dss_softmax_kernel, vandermonde_kernel
 from dssm.oracle import (
@@ -71,11 +66,12 @@ def test_criterion_02_diagonalization_equivalence():
         dt, L = 0.05, 96
         reference = dense_kernel(dense_spec, "bilinear", dt, L)
 
+        # eigenvectors from a LAPACK oracle: eigh's ascending u of iS are the
+        # spectrum's descending Im = -u, so the two pair by position
         S = normal.A + 0.5 * np.eye(N)
-        values, V = hermitian_eigendecompose(1j * S)
-        eigenvalues = -0.5 - 1j * values
+        _, V = np.linalg.eigh(1j * S)
         diagonal = DiagonalSpec(
-            A_half=eigenvalues,
+            A_half=hippo_d_spectrum(N),
             B_half=V.conj().T @ normal.B,
             C_half=C @ V,
             conj_pairs=False,

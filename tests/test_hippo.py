@@ -6,7 +6,7 @@ import pytest
 from dssm import hippo
 from dssm.hippo import (
     DenseSpec,
-    hermitian_eigendecompose,
+    _hermitian_spectrum,
     hippo_d_spectrum,
     make_hippo_legs,
     make_hippo_normal,
@@ -79,93 +79,31 @@ H8 = (_RE + _RE.T) + 1j * (_IM - _IM.T)  # random 8x8 Hermitian
 
 
 class TestHermitianEigendecompose:
+    """The Hermitian engine's eigenvalues, `_hermitian_spectrum`: all that
+    `hippo_d_spectrum` reads of it.  The class keeps its name so that its
+    test ids stay stable."""
+
     def test_identity(self):
-        values, V = hermitian_eigendecompose(np.eye(3))
-        np.testing.assert_allclose(values, np.ones(3), atol=1e-14)
-        np.testing.assert_allclose(V.conj().T @ V, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(_hermitian_spectrum(np.eye(3)), np.ones(3), atol=1e-14)
 
     def test_two_by_two_analytic(self):
-        H = np.array([[0.0, 1j], [-1j, 0.0]])
-        values, V = hermitian_eigendecompose(H)
-        np.testing.assert_allclose(values, [1.0, -1.0], atol=1e-14)
-        np.testing.assert_allclose(H @ V, V @ np.diag(values), atol=1e-13)
-
-    def test_skew_hippo_16_diagonalized(self):
-        S = make_hippo_normal(16).A + 0.5 * np.eye(16)
-        H = 1j * S
-        lam, V = hermitian_eigendecompose(H)
-        transformed = V.conj().T @ H @ V
-        off = transformed - np.diag(np.diag(transformed))
-        assert np.abs(off).max() <= 1e-10
-        # 16 real eigenvalues in +/- pairs
-        ordered = np.sort(lam)
-        np.testing.assert_allclose(ordered, -ordered[::-1], atol=1e-10)
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(5)
-        M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-        H = M + M.conj().T
-        _, V = hermitian_eigendecompose(H)
-        assert np.abs(V.conj().T @ V - np.eye(40)).max() <= 1e-10
+        values = _hermitian_spectrum(np.array([[0.0, 1j], [-1j, 0.0]]))
+        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 5, 17, 33, 64])
     def test_matches_lapack_oracle(self, n):
         rng = np.random.default_rng(n)
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         H = M + M.conj().T
-        values, V = hermitian_eigendecompose(H)
-        reference = np.sort(np.linalg.eigvalsh(H))[::-1]
-        np.testing.assert_allclose(values, reference, atol=1e-11)
-
-    def test_residual_bound(self):
-        for n in (8, 64):
-            S = make_hippo_normal(n).A + 0.5 * np.eye(n)
-            H = 1j * S
-            values, V = hermitian_eigendecompose(H)
-            residual = np.abs(H @ V - V @ np.diag(values)).max()
-            assert residual <= 10 * 1e-12 * np.abs(H).max()
-
-    def test_split_tridiagonal_orthogonality(self):
-        # zeroed off-diagonals leave eigenvalue pairs just outside the 1e-3
-        # reorthogonalization clusters, where the stopping residual alone
-        # bounds orthogonality only by about 1e-12 / gap
-        rng = np.random.default_rng(11)
-        for _ in range(60):
-            n = int(rng.integers(2, 96))
-            d = rng.standard_normal(n)
-            e = rng.standard_normal(n - 1)
-            e[rng.uniform(size=n - 1) < rng.uniform(0.0, 0.8)] = 0.0
-            T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-            values, V = hermitian_eigendecompose(T)
-            assert np.abs(V.conj().T @ V - np.eye(n)).max() <= 1e-12
-            assert np.abs(T @ V - V * values).max() <= 1e-12 * np.abs(T).max()
+        np.testing.assert_allclose(_hermitian_spectrum(H), np.linalg.eigvalsh(H), atol=1e-11)
 
     def test_eigenvalues_are_real_float64(self):
-        values, _ = hermitian_eigendecompose(H8)
-        assert values.dtype == np.float64
+        assert _hermitian_spectrum(H8).dtype == np.float64
 
-    def test_sorted_descending(self):
+    def test_sorted_ascending(self):
         rng = np.random.default_rng(11)
         M = rng.standard_normal((12, 12))
-        lam, _ = hermitian_eigendecompose(M + M.T)
-        assert (np.diff(lam) <= 1e-12).all()
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_sweep_cap_raises(self, monkeypatch):
-        # two passes can meet the residual test but leave no room for the
-        # two extra passes, so the cap is reached
-        monkeypatch.setattr(hippo, "_MAX_PASSES", 2)
-        rng = np.random.default_rng(19)
-        M = rng.standard_normal((6, 6))
-        with pytest.raises(RuntimeError, match="converge"):
-            hermitian_eigendecompose(M + M.T)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            hermitian_eigendecompose(np.zeros((2, 3)))
+        assert (np.diff(_hermitian_spectrum(M + M.T)) >= 0).all()
 
     @pytest.mark.parametrize(
         "H",
@@ -182,31 +120,28 @@ class TestHermitianEigendecompose:
              "tiny", "huge"],
     )
     def test_edge_inputs(self, H):
-        n = H.shape[0]
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, V = hermitian_eigendecompose(H)
-        assert np.abs(V.conj().T @ V - np.eye(n)).max() <= 1e-10
-        residual = np.abs(H @ V - V * values).max()
-        assert residual <= 1e-12 * np.abs(H).max()
+            values = _hermitian_spectrum(H)
+        reference = np.linalg.eigvalsh(H)
+        assert np.abs(values - reference).max() <= 1e-13 * np.abs(reference).max()
 
     def test_subnormal_input(self):
         # the power-of-two scaling must stay finite when max|H| is subnormal;
-        # the eigenvalues are subnormal too, so they round (no errstate here)
+        # the eigenvalues are subnormal too, so scaling them back underflows
+        # and rounds: every other floating-point event is an error
         H = 1e-310 * H8
-        values, V = hermitian_eigendecompose(H)
-        assert np.abs(V.conj().T @ V - np.eye(8)).max() <= 1e-10
-        reference = np.sort(np.linalg.eigvalsh(H8))[::-1]
-        np.testing.assert_allclose(values / 1e-310, reference, atol=1e-9)
+        with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = _hermitian_spectrum(H)
+        np.testing.assert_allclose(values / 1e-310, np.linalg.eigvalsh(H8), atol=1e-9)
 
     @pytest.mark.parametrize("N", [9, 64, 255])
     def test_same_engine_as_hippo_d_spectrum(self, N):
-        # both solvers share one reduction and bisection, so the eigenvalues
-        # agree bit for bit
+        # hippo_d_spectrum maps the engine's ascending u to Im = -u in the
+        # same order, bit for bit
         S = make_hippo_normal(N).A + 0.5 * np.eye(N)
-        values, _ = hermitian_eigendecompose(1j * S)
-        expected = np.sort(-hippo_d_spectrum(N).imag)[::-1]
-        np.testing.assert_array_equal(values, expected)
+        np.testing.assert_array_equal(_hermitian_spectrum(1j * S), -hippo_d_spectrum(N).imag)
 
 
 def _unitary(n, rng):
@@ -265,21 +200,17 @@ ENGINE_FAMILIES = {
 
 @pytest.mark.parametrize("family", ENGINE_FAMILIES)
 def test_engine_fuzz_against_lapack(family):
-    # eigenvalues against eigvalsh relative to max |lambda|, residuals within
-    # the engine's own _TOL of max |H|, and orthonormal vectors; the engine
-    # runs with every floating-point event and warning an error
+    # ascending eigenvalues against eigvalsh relative to max |lambda|, with
+    # every floating-point event and warning an error
     rng = np.random.default_rng(24)
     for n in (1, 2, 3, 5, 8, 17, 33, 64):
         for _ in range(3):
             H = ENGINE_FAMILIES[family](n, rng)
             with np.errstate(all="raise"), warnings.catch_warnings():
                 warnings.simplefilter("error")
-                values, V = hermitian_eigendecompose(H)
+                values = _hermitian_spectrum(H)
             reference = np.linalg.eigvalsh(H)
-            scale = np.abs(reference).max()
-            assert np.abs(np.sort(values) - reference).max() <= 1e-13 * scale, n
-            assert np.abs(H @ V - V * values).max() <= hippo._TOL * np.abs(H).max(), n
-            assert np.abs(V.conj().T @ V - np.eye(n)).max() <= 1e-12, n
+            assert np.abs(values - reference).max() <= 1e-13 * np.abs(reference).max(), n
 
 
 class TestHippoDSpectrum:

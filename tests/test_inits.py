@@ -17,7 +17,6 @@ from dssm.inits import (
     init_log_dt,
     init_quad,
     init_rand,
-    init_random_real,
     init_real,
     make_init,
 )
@@ -165,16 +164,6 @@ class TestRandomFamilies:
         np.testing.assert_array_equal(a.A_half, b.A_half)
         assert (a.A_half.real == -0.5).all()
         assert (a.A_half.imag >= 0).all()
-
-    def test_random_real_preserves_imag(self):
-        base = init_lin(16)
-        replaced = init_random_real(base, seed=21)
-        np.testing.assert_array_equal(replaced.A_half.imag, base.A_half.imag)
-        assert (replaced.A_half.real > -1.0).all()
-        assert (replaced.A_half.real <= 0.0).all()
-        np.testing.assert_array_equal(
-            replaced.A_half, init_random_real(base, seed=21).A_half
-        )
 
 
 class TestOutputMapAndTimescale:

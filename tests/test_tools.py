@@ -32,3 +32,29 @@ def test_summary_pairs_runs_by_seed():
     assert wall["parent_iqr"] == pytest.approx(0.0875)
     assert (summary["ops_per_s"]["change_wins"], summary["ops_per_s"]["ties"]) == (2, 1)  # higher is better
     assert (summary["parent_fail"], summary["change_fail"]) == ("0/40", "1/40")
+
+
+_CENSUS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "line_census.py")
+_census_spec = importlib.util.spec_from_file_location("line_census", _CENSUS_PATH)
+line_census = importlib.util.module_from_spec(_census_spec)
+_census_spec.loader.exec_module(line_census)
+
+
+def test_line_census_names_an_unreached_line(tmp_path):
+    path = tmp_path / "synthetic.py"
+    path.write_text("def sign(x):\n"
+                    "    if x < 0:\n"
+                    "        return -1\n"
+                    "    return [1 for _ in range(1)][0]\n")
+    code = compile(path.read_text(), str(path), "exec")
+
+    def run():
+        namespace = {}
+        exec(code, namespace)
+        return namespace["sign"](2)
+
+    result, hits = line_census.reached([str(path)], run)
+    assert result == 1
+    count, lines = line_census.report(str(tmp_path), [str(path)], hits)
+    assert count == 1
+    assert lines == ["synthetic.py: 1 of 4 unreached", "  sign: 1 of 3: 3"]
