@@ -267,7 +267,12 @@ def cmd_spectrum(config: argparse.Namespace) -> int:
 def cmd_conv(config: argparse.Namespace) -> int:
     samples = read_signal_csv(config.input)
     config.L = len(samples)
-    signal = Signal(samples=samples)
+    # the convolution is linear, so samples scaled up exactly to max|u| in
+    # [0.5, 1) keep subnormal inputs off the subnormal grid in both modes;
+    # larger samples are left as they are, since scaling them down would
+    # push their products with tiny kernel taps into the subnormals
+    exponent = min(0, int(np.frexp(np.abs(samples).max())[1]))
+    signal = Signal(samples=np.ldexp(samples, -exponent))
     spec, disc = build_system(config)
     if config.mode == "fft":
         out = fft_causal_conv(signal, _system_kernel(config, spec, disc))
@@ -275,9 +280,10 @@ def cmd_conv(config: argparse.Namespace) -> int:
         # the softmax kernel of length L is the Vandermonde kernel of C / row sums
         C = spec.C_half / _softmax_row_sums(disc, config.L) if config.softmax else spec.C_half
         out, _ = recurrent_scan(disc, C, signal, conj_pairs=spec.conj_pairs)
-    _require_finite(out.samples, "conv output")
+    values = np.ldexp(out.samples, exponent)
+    _require_finite(values, "conv output")
     meta = _system_meta(config, disc) | {"mode": config.mode}
-    rows = enumerate(np.atleast_1d(out.samples).tolist())
+    rows = enumerate(np.atleast_1d(values).tolist())
     _write_text(config.output, _csv_text(meta, ["l", "value"], "%d,%.17g\n", rows))
     return 0
 

@@ -1,11 +1,11 @@
 """HiPPO-LegS matrices, their normal variant, and the diagonal spectrum.
 
-The LegS family is built entrywise from closed forms.  The spectrum comes
-from a Hermitian eigenvalue engine after LAPACK zhetrd -> dstebz: a
-Householder reduction to a real symmetric tridiagonal, then Sturm-count
-bisection.  It returns eigenvalues only; nothing in S4D or DSS reads an
-eigenvector.  Nothing here depends on LAPACK-backed routines.
-`hippo_d_spectrum` returns a plain complex array sorted by descending Im.
+The LegS family is built entrywise from closed forms.  So is the Lanczos
+tridiagonal of the normal variant's skew part, and the spectrum is its
+Sturm-count bisection (as LAPACK dstebz): eigenvalues only, since nothing in
+S4D or DSS reads an eigenvector, and no N x N matrix is built.  Nothing here
+depends on LAPACK-backed routines.  `hippo_d_spectrum` returns a plain
+complex array sorted by descending Im.
 """
 
 from dataclasses import dataclass
@@ -79,57 +79,32 @@ def make_hippo_normal(N: int) -> DenseSpec:
     return DenseSpec(A=A_normal, B=legs.B.copy(), C=None)
 
 
-def _tridiagonalize(H: np.ndarray):
-    """Householder reduction of Hermitian H to a real symmetric tridiagonal.
+def _tridiagonal_eigenvalues(e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal with zero diagonal
+    and off-diagonal e, by Sturm-count bisection (LAPACK dstebz).
 
-    Reflectors I - 2 v v^H (unit v) zero H[k+2:, k] one column at a time;
-    with p = sub @ v and w = 2 (p - (v^H p) v), each takes the trailing block
-    to sub - v w^H - w v^H.  A diagonal unitary of phases would make the
-    complex off-diagonal real without changing the eigenvalues, so only its
-    moduli are kept.  Returns the tridiagonal's diagonal d and off-diagonal
-    e >= 0.
+    e is scaled by a power of two to max|e| in [0.5, 1) first; that is exact
+    and keeps the squares in the recurrence finite and normal, and the
+    eigenvalues are scaled back.  All n eigenvalues are bisected at once: each
+    pass runs the pivot recurrence q_k = -x - e_{k-1}^2 / q_{k-1} over k for
+    the n midpoints together, and the number of negative pivots counts the
+    eigenvalues below each midpoint.  A pivot smaller than pivmin = sqrt(tiny)
+    in magnitude is replaced by -pivmin, so a zero pivot (odd n puts one at
+    x = 0) never divides by zero, e^2 / pivmin cannot overflow, and the next
+    pivot's e^2 / q does not underflow for e^2 above pivmin.  An interval
+    stops once its width is at most 2 eps |x| + eps ||T||, the absolute floor
+    letting the eigenvalue at zero of odd n finish with the rest instead of
+    bisecting into subnormals.
     """
-    A = np.array(H, dtype=complex)
-    n = A.shape[0]
-    off = np.zeros(n - 1, dtype=complex)
-    for k in range(n - 1):
-        x = A[k + 1 :, k]
-        norm = np.sqrt(np.vdot(x, x).real)
-        if norm == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v = x.copy()
-        v[0] += phase * norm
-        v /= np.sqrt(np.vdot(v, v).real)
-        off[k] = -phase * norm
-        sub = A[k + 1 :, k + 1 :]
-        p = sub @ v
-        w = 2.0 * (p - np.vdot(v, p).real * v)
-        sub -= np.stack((v, w), axis=1) @ np.stack((w.conj(), v.conj()))
-    return A.diagonal().real.copy(), np.abs(off)
-
-
-def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric tridiagonal with diagonal d and
-    off-diagonal e, by Sturm-count bisection (LAPACK dstebz).
-
-    All n eigenvalues are bisected at once: each pass runs the pivot
-    recurrence q_k = d_k - x - e_{k-1}^2 / q_{k-1} over k for the n
-    midpoints together, and the number of negative pivots counts the
-    eigenvalues below each midpoint.  A pivot smaller than pivmin in magnitude
-    is replaced by -pivmin, so a zero pivot never divides by zero and
-    e^2 / pivmin cannot overflow.  An interval stops once its width is at most
-    2 eps |x| + eps ||T||, the absolute floor letting an eigenvalue at zero
-    (odd n skew spectra have one) finish with the rest instead of bisecting
-    into subnormals.
-    """
-    n = len(d)
+    n = len(e) + 1
+    exponent = int(np.frexp(np.abs(e).max(initial=0.0))[1])
+    e = np.ldexp(e, -exponent)
     e2 = e * e
     eps = np.finfo(float).eps
-    padded = np.concatenate(([0.0], e, [0.0]))
+    pivmin = np.sqrt(np.finfo(float).tiny)
+    padded = np.concatenate(([0.0], np.abs(e), [0.0]))
     # Gershgorin radius, widened so rounding cannot leave an end eigenvalue out
-    bound = float((np.abs(d) + padded[:-1] + padded[1:]).max()) * (1.0 + 4.0 * eps)
-    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
+    bound = float((padded[:-1] + padded[1:]).max()) * (1.0 + 4.0 * eps)
     lo = np.full(n, -bound)
     hi = np.full(n, bound)
     index = np.arange(n)
@@ -138,7 +113,7 @@ def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     small = np.empty(n, dtype=bool)
     while (hi - lo > 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)) + eps * bound).any():
         mid = 0.5 * (lo + hi)
-        np.subtract.outer(d, mid, out=pivots)
+        pivots[:] = -mid
         for k in range(n):
             q = pivots[k]
             if k:
@@ -150,22 +125,7 @@ def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
         below = np.count_nonzero(pivots < 0.0, axis=0) > index
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
-    return 0.5 * (lo + hi)
-
-
-def _hermitian_spectrum(H: np.ndarray) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix H: symmetrize, reduce
-    and bisect.
-
-    H is scaled by a power of two to max|H| in [0.5, 1) first; that is exact
-    and keeps squares in the reduction and the Sturm recurrence finite and
-    normal.  The eigenvalues of the scaled matrix are scaled back.
-    """
-    H = np.ascontiguousarray(H, dtype=complex)
-    exponent = int(np.frexp(np.abs(H).max())[1])
-    H = np.ldexp(H.view(float), -exponent).view(complex)
-    d, e = _tridiagonalize(0.5 * (H + H.conj().T))
-    return np.ldexp(_tridiagonal_eigenvalues(d, e), exponent)
+    return np.ldexp(0.5 * (lo + hi), exponent)
 
 
 _spectrum_cache: dict[int, np.ndarray] = {}
@@ -175,18 +135,23 @@ def hippo_d_spectrum(N: int) -> np.ndarray:
     """Eigenvalues of the normal LegS variant: a complex array of length N,
     sorted by descending Im.
 
-    Splits A_normal = -I/2 + S with S real skew-symmetric.  Reduction and
-    bisection give the real eigenvalues u of the Hermitian iS; each maps back
-    to -1/2 - iu, so all real parts are exactly -1/2.  Results are cached per
-    N; each call returns a fresh copy.
+    Splits A_normal = -I/2 + S with S = D E D / 2 real skew-symmetric, where
+    D = diag sqrt(2n+1) and E_jk = sign(k - j).  Lanczos on S from B/|B| never
+    breaks down and ends in a skew tridiagonal with the closed-form
+    off-diagonals beta_k = (N^2 - k^2) / (2 sqrt(4k^2 - 1)), k = 1..N-1, so
+    the Hermitian iS has the eigenvalues u of the real symmetric tridiagonal
+    with zero diagonal and off-diagonal beta.  Bisection gives u; each maps
+    back to -1/2 - iu, so all real parts are exactly -1/2.  Results are cached
+    per N; each call returns a fresh copy.
     """
     if N < 1:
         raise ValueError("state size must be >= 1")
     cached = _spectrum_cache.get(N)
     if cached is not None:
         return cached.copy()
-    S = make_hippo_normal(N).A + 0.5 * np.eye(N)
+    k = np.arange(1.0, N)
+    beta = (N * N - k * k) / (2.0 * np.sqrt(4.0 * k * k - 1.0))
     # bisection returns u ascending: intervals i < j share midpoints until a
     # Sturm count splits them and stay ordered after, so Im = -u descends
-    _spectrum_cache[N] = -0.5 - 1j * _hermitian_spectrum(1j * S)
+    _spectrum_cache[N] = -0.5 - 1j * _tridiagonal_eigenvalues(beta)
     return _spectrum_cache[N].copy()

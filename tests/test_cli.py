@@ -372,6 +372,25 @@ class TestConvCommand:
             assert main(["conv", "--input", str(signal), "--mode", mode, *flags, "-o", str(out)]) == 0
             np.testing.assert_allclose(read_signal_csv(str(out)), k0, rtol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["fft", "scan"])
+    def test_subnormal_input_matches_scaled_output(self, tmp_path, capsys, mode):
+        # samples of at most 14 significant bits stay exact at 2^-1060, deep in
+        # the subnormals; the convolution is linear, so the output must be the
+        # unscaled input's output scaled by 2^-1060, value for value
+        u = np.ldexp(np.random.default_rng(70).integers(-2**13, 2**13, 70).astype(float), -13)
+        outputs = []
+        for scale in (0, -1060):
+            signal = tmp_path / "u.csv"
+            rows = "".join(f"{l},{x!r}\n" for l, x in enumerate(np.ldexp(u, scale).tolist()))
+            signal.write_text("l,value\n" + rows)
+            assert np.array_equal(read_signal_csv(str(signal)), np.ldexp(u, scale))
+            code, out, _ = run(["conv", "--input", str(signal), "--N", "8", "--dt", "0.5",
+                                "--mode", mode], capsys)
+            assert code == 0
+            outputs.append(np.array([float(row[1]) for row in read_csv_text(out)[1:]]))
+        assert len(outputs[1]) == 70
+        np.testing.assert_array_equal(outputs[1], np.ldexp(outputs[0], -1060))
+
     def test_kernel_csv_feeds_conv(self, tmp_path):
         kernel_path = tmp_path / "k.csv"
         assert main(["kernel", "--init", "lin", "--N", "8", "--L", "32",

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from dssm import hippo
 from dssm.hippo import (
     DenseSpec,
-    _hermitian_spectrum,
+    _tridiagonal_eigenvalues,
     hippo_d_spectrum,
     make_hippo_legs,
     make_hippo_normal,
@@ -74,142 +75,170 @@ class TestMakeHippoNormal:
             make_hippo_normal(0)
 
 
-_RE, _IM = np.random.default_rng(8).standard_normal((2, 8, 8))
-H8 = (_RE + _RE.T) + 1j * (_IM - _IM.T)  # random 8x8 Hermitian
+def _dense(e):
+    """The zero-diagonal symmetric tridiagonal with off-diagonal e."""
+    return np.diag(e, 1) + np.diag(e, -1)
+
+
+def _legs_beta(N):
+    # the closed-form Lanczos off-diagonals of the LegS skew part, written out
+    # here as the module writes them, so that the bits agree
+    k = np.arange(1.0, N)
+    return (N * N - k * k) / (2.0 * np.sqrt(4.0 * k * k - 1.0))
+
+
+def _strict_eigenvalues(e, under="raise"):
+    # every floating-point event and warning an error, but for `under` when
+    # that is "ignore"
+    with np.errstate(all="raise", under=under), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _tridiagonal_eigenvalues(e)
+
+
+E8 = np.random.default_rng(8).standard_normal(7)  # off-diagonal of a random 8x8
+
+
+@pytest.mark.parametrize("N", range(1, 33))
+def test_lanczos_closed_form_exact(N):
+    # Lanczos on S = D E D / 2 from B / |B| in exact rationals: with q = D p the
+    # operator is p -> E D^2 p / 2 and the inner product is weighted by
+    # D^2 = diag(2j + 1).  Unnormalized, p_{k+1} = M p_k + (|p_k|^2 /
+    # |p_{k-1}|^2) p_{k-1}, and beta_k^2 = |p_k|^2 / |p_{k-1}|^2.
+    weight = [2 * j + 1 for j in range(N)]
+
+    def operator(p):
+        scaled = [w * x for w, x in zip(weight, p)]
+        total, below, out = sum(scaled), 0, []
+        for x in scaled:
+            out.append(Fraction(total - below - x - below, 2))
+            below += x
+        return out
+
+    def norm2(p):
+        return sum(w * x * x for w, x in zip(weight, p))
+
+    previous, p = [Fraction(0)] * N, [Fraction(1)] * N
+    previous_norm2, p_norm2 = None, norm2(p)
+    for k in range(1, N):
+        ratio = p_norm2 / previous_norm2 if k > 1 else 0
+        previous, p = p, [a + ratio * b for a, b in zip(operator(p), previous)]
+        previous_norm2, p_norm2 = p_norm2, norm2(p)
+        assert p_norm2 != 0, k  # no breakdown before N steps
+        assert p_norm2 / previous_norm2 == Fraction((N * N - k * k) ** 2, 4 * (4 * k * k - 1)), k
 
 
 class TestHermitianEigendecompose:
-    """The Hermitian engine's eigenvalues, `_hermitian_spectrum`: all that
-    `hippo_d_spectrum` reads of it.  The class keeps its name so that its
-    test ids stay stable."""
-
-    def test_identity(self):
-        np.testing.assert_allclose(_hermitian_spectrum(np.eye(3)), np.ones(3), atol=1e-14)
+    """The bisection engine, `_tridiagonal_eigenvalues`, on zero-diagonal
+    symmetric tridiagonals given by their off-diagonal: all that
+    `hippo_d_spectrum` runs.  The class keeps its name so that its test ids
+    stay stable."""
 
     def test_two_by_two_analytic(self):
-        values = _hermitian_spectrum(np.array([[0.0, 1j], [-1j, 0.0]]))
-        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(_tridiagonal_eigenvalues(np.array([1.0])), [-1.0, 1.0],
+                                   atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 5, 17, 33, 64])
     def test_matches_lapack_oracle(self, n):
-        rng = np.random.default_rng(n)
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        H = M + M.conj().T
-        np.testing.assert_allclose(_hermitian_spectrum(H), np.linalg.eigvalsh(H), atol=1e-11)
+        e = np.random.default_rng(n).standard_normal(n - 1)
+        np.testing.assert_allclose(_tridiagonal_eigenvalues(e), np.linalg.eigvalsh(_dense(e)),
+                                   atol=1e-11)
 
     def test_eigenvalues_are_real_float64(self):
-        assert _hermitian_spectrum(H8).dtype == np.float64
+        assert _tridiagonal_eigenvalues(E8).dtype == np.float64
 
     def test_sorted_ascending(self):
-        rng = np.random.default_rng(11)
-        M = rng.standard_normal((12, 12))
-        assert (np.diff(_hermitian_spectrum(M + M.T)) >= 0).all()
+        e = np.random.default_rng(11).standard_normal(11)
+        assert (np.diff(_tridiagonal_eigenvalues(e)) >= 0).all()
 
     @pytest.mark.parametrize(
-        "H",
+        "e",
         [
-            np.kron(np.eye(4), H8),
-            np.zeros((5, 5)),
-            np.diag([3.0, 1.0, 1.0, 2.0, 2.0, 2.0]),
-            np.kron(H8, np.ones((2, 2))),
-            np.array([[-2.5]]),
-            1e-300 * H8,
-            1e300 * H8,
+            np.r_[E8, 0.0, E8, 0.0, E8, 0.0, E8],
+            np.zeros(4),
+            np.array([3.0, 0.0, 1.0, 0.0, 1.0, 0.0, 2.0, 0.0, 2.0, 0.0, 2.0]),
+            E8[:6],
+            np.zeros(0),
+            1e-300 * E8,
+            1e300 * E8,
         ],
         ids=["4-fold-clusters", "zero", "repeated-diagonal", "rank-deficient", "1x1",
              "tiny", "huge"],
     )
-    def test_edge_inputs(self, H):
-        with np.errstate(all="raise"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = _hermitian_spectrum(H)
-        reference = np.linalg.eigvalsh(H)
+    def test_edge_inputs(self, e):
+        # repeated-diagonal: a direct sum of 2x2 blocks with repeated values;
+        # rank-deficient: odd order, so one eigenvalue is zero
+        values = _strict_eigenvalues(e)
+        reference = np.linalg.eigvalsh(_dense(e))
         assert np.abs(values - reference).max() <= 1e-13 * np.abs(reference).max()
 
     def test_subnormal_input(self):
-        # the power-of-two scaling must stay finite when max|H| is subnormal;
+        # the power-of-two scaling must stay finite when max|e| is subnormal;
         # the eigenvalues are subnormal too, so scaling them back underflows
         # and rounds: every other floating-point event is an error
-        H = 1e-310 * H8
         with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = _hermitian_spectrum(H)
-        np.testing.assert_allclose(values / 1e-310, np.linalg.eigvalsh(H8), atol=1e-9)
+            values = _tridiagonal_eigenvalues(1e-310 * E8)
+        np.testing.assert_allclose(values / 1e-310, np.linalg.eigvalsh(_dense(E8)), atol=1e-9)
 
     @pytest.mark.parametrize("N", [9, 64, 255])
     def test_same_engine_as_hippo_d_spectrum(self, N):
-        # hippo_d_spectrum maps the engine's ascending u to Im = -u in the
-        # same order, bit for bit
-        S = make_hippo_normal(N).A + 0.5 * np.eye(N)
-        np.testing.assert_array_equal(_hermitian_spectrum(1j * S), -hippo_d_spectrum(N).imag)
-
-
-def _unitary(n, rng):
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
-def _with_spectrum(values, rng):
-    Q = _unitary(len(values), rng)
-    H = (Q * values) @ Q.conj().T
-    return (H + H.conj().T) / 2
-
-
-def _random_hermitian(n, rng):
-    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (M + M.conj().T) / 2
-
-
-def _split_tridiagonal(n, rng):
-    e = rng.standard_normal(n - 1)
-    e[rng.uniform(size=n - 1) < 0.5] = 0.0
-    return np.diag(rng.standard_normal(n)) + np.diag(e, 1) + np.diag(e, -1)
-
-
-def _wilkinson(n, rng):
-    # W_n^+ (|n//2 - i| on the diagonal, ones beside it) under a random
-    # diagonal unitary similarity, which makes it complex
-    phases = np.exp(2j * np.pi * rng.uniform(size=n))
-    W = np.diag(np.abs(n // 2 - np.arange(n)).astype(float))
-    W += np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
-    return phases[:, None] * W * phases.conj()
+        # hippo_d_spectrum maps the engine's ascending u on the closed-form
+        # beta to Im = -u in the same order, bit for bit
+        np.testing.assert_array_equal(_tridiagonal_eigenvalues(_legs_beta(N)),
+                                      -hippo_d_spectrum(N).imag)
 
 
 def _cluster(n, rng):
-    # half the spectrum within 1e-10 of 0.5, the rest spread over [-1, 1]
-    values = rng.uniform(-1.0, 1.0, n)
-    values[: (n + 1) // 2] = 0.5 + 1e-10 * rng.uniform(size=(n + 1) // 2)
-    return _with_spectrum(values, rng)
+    # two copies of one random tridiagonal joined by a 1e-10 off-diagonal (and
+    # an uncoupled row for odd n): its eigenvalues come in pairs about 1e-10 apart
+    half = rng.standard_normal(max(n // 2 - 1, 0))
+    return np.r_[half, 1e-10, half, np.zeros(n % 2)][: n - 1]
 
 
-# test matrix families after Demmel & McKenney, "A test matrix generation
-# suite", LAPACK Working Note 9 (1989)
+def _split(n, rng):
+    e = rng.standard_normal(n - 1)
+    e[rng.uniform(size=n - 1) < 0.5] = 0.0
+    return e
+
+
+def _repeated(n, rng):
+    # uncoupled 2x2 blocks with off-diagonal 1 or 2: values +-1 and +-2, each
+    # repeated, and a zero for odd n
+    e = rng.choice([1.0, 2.0], n - 1)
+    e[1::2] = 0.0
+    return e
+
+
+# off-diagonals of zero-diagonal tridiagonals, after the families of Demmel &
+# McKenney, "A test matrix generation suite", LAPACK Working Note 9 (1989),
+# and the LegS off-diagonals at odd and even order
 ENGINE_FAMILIES = {
-    "random": _random_hermitian,
+    "random": lambda n, rng: rng.standard_normal(n - 1),
     "cluster-1e-10": _cluster,
-    "n-1-fold": lambda n, rng: _with_spectrum(np.r_[np.full(n - 1, 2.0), -1.0][:n], rng),
-    "graded": lambda n, rng: _with_spectrum(
-        np.logspace(-15, 0, n) * rng.choice([-1.0, 1.0], n), rng),
-    "split-tridiagonal": _split_tridiagonal,
-    "wilkinson": _wilkinson,
-    "tiny": lambda n, rng: 1e-300 * _random_hermitian(n, rng),
-    "huge": lambda n, rng: 1e300 * _random_hermitian(n, rng),
-    "zero": lambda n, rng: np.zeros((n, n)),
+    "repeated": _repeated,
+    "graded": lambda n, rng: np.logspace(-15, 0, n - 1) * rng.choice([-1.0, 1.0], n - 1),
+    "split-tridiagonal": _split,
+    "tiny": lambda n, rng: 1e-300 * rng.standard_normal(n - 1),
+    "huge": lambda n, rng: 1e300 * rng.standard_normal(n - 1),
+    "zero": lambda n, rng: np.zeros(n - 1),
+    "legs-odd": lambda n, rng: _legs_beta(n | 1),
+    "legs-even": lambda n, rng: _legs_beta(n + n % 2),
 }
 
 
 @pytest.mark.parametrize("family", ENGINE_FAMILIES)
 def test_engine_fuzz_against_lapack(family):
     # ascending eigenvalues against eigvalsh relative to max |lambda|, with
-    # every floating-point event and warning an error
+    # every floating-point event and warning an error.  The one exception: an
+    # odd-order "tiny" matrix has an eigenvalue at zero, found within
+    # eps ||T|| of it, which scales back below the normal range and rounds
+    under = "ignore" if family == "tiny" else "raise"
     rng = np.random.default_rng(24)
     for n in (1, 2, 3, 5, 8, 17, 33, 64):
         for _ in range(3):
-            H = ENGINE_FAMILIES[family](n, rng)
-            with np.errstate(all="raise"), warnings.catch_warnings():
-                warnings.simplefilter("error")
-                values = _hermitian_spectrum(H)
-            reference = np.linalg.eigvalsh(H)
+            e = ENGINE_FAMILIES[family](n, rng)
+            values = _strict_eigenvalues(e, under)
+            reference = np.linalg.eigvalsh(_dense(e))
             assert np.abs(values - reference).max() <= 1e-13 * np.abs(reference).max(), n
 
 
@@ -255,7 +284,7 @@ class TestHippoDSpectrum:
         middle = scaled[len(positive) // 4 : 3 * len(positive) // 4]
         assert middle.max() / middle.min() <= 4.0
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 9, 48, 255, 256])
+    @pytest.mark.parametrize("N", [1, 2, 3, 9, 48, 255, 256, 1024])
     def test_matches_lapack_oracle(self, N):
         values = hippo_d_spectrum(N)
         S = make_hippo_normal(N).A + 0.5 * np.eye(N)

@@ -5,8 +5,9 @@ Usage:
     python tools/cli_corpus.py SRC_DIR > corpus.txt
 
 Each command runs as `python -m dssm.cli ...` with PYTHONPATH=SRC_DIR, in a
-temporary directory that also holds the seeded input CSVs of the `conv`
-commands.  A line reads
+temporary directory that also holds the input CSVs of the `conv` commands:
+seeded samples, and short texts for comment lines and each row error.  A
+line reads
 
     <sha256 of stdout> <exit code> <sha256 of stderr> <argv>
 
@@ -31,6 +32,11 @@ import numpy as np
 INPUTS = {"u5000.csv": (5000, 11, 0), "u4097.csv": (4097, 12, 0), "u63.csv": (63, 13, 0),
           "u64.csv": (64, 14, 0), "u65.csv": (65, 15, 0), "u1.csv": (1, 16, 0),
           "u65huge.csv": (65, 15, 1021)}
+# name: text, for the reader's comment lines and each of its row errors
+TEXT_INPUTS = {"commented.csv": "# metadata\n\nl,value\n0,1.5\n# between rows\n1,-2\n",
+               "malformed.csv": "l,value\n0,1.0,5.0\n", "unparseable.csv": "l,value\n0,1.0\n1,abc\n",
+               "order.csv": "l,value\n0,1.0\n2,3.0\n", "nonfinite.csv": "l,value\n0,1.0\n1,nan\n",
+               "empty.csv": "# nothing\nl,value\n"}
 
 
 def _corpus() -> list[tuple[dict, list[str]]]:
@@ -185,7 +191,18 @@ def _corpus() -> list[tuple[dict, list[str]]]:
                  "--dt-min", "1e-3"]),
         (plain, ["spectrum", "--all", "--N", "8", "--seed", "3"]),
         (plain, ["basis", "--dense", "legs", "--N", "8", "--seed", "3"]),
+        # values the parser accepts and the command rejects
+        (plain, ["verify", "--probe", "nope"]),
+        (plain, ["verify", "--probe", ","]),
+        (plain, ["bench", "--N-grid", "x"]),
+        ({"SSM_SEED": "x"}, ["kernel", "--N", "8", "--L", "4", "--dt", "0.01"]),
+        (plain, ["kernel", "--N", "8", "--L", "4", "--dt", "0"]),
+        (plain, ["basis", "--init", "lin", "--N", "8", "--rows", "-1"]),
     ]
+    # comment and blank lines between rows, then each row error and a file
+    # with no samples (exit 2)
+    for name in TEXT_INPUTS:
+        runs.append((plain, ["conv", "--input", name, "--init", "lin", "--N", "8", "--dt", "0.01"]))
     return runs
 
 
@@ -195,6 +212,9 @@ def _write_inputs(directory: str) -> None:
         rows = "".join("%d,%.17g\n" % row for row in enumerate(values.tolist()))
         with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
             handle.write("l,value\n" + rows)
+    for name, text in TEXT_INPUTS.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 def _blank_numbers(obj):
