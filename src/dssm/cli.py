@@ -23,12 +23,10 @@ kernel or output with a non-finite value (nothing is written then).
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 
@@ -53,7 +51,6 @@ from .kernel import (
     sample_basis,
     vandermonde_kernel,
 )
-from . import oracle
 
 # Parameterization presets: discretization, real-part transform, whether B is
 # randomized (emulating a trainable B) or frozen to ones, and softmax
@@ -93,6 +90,8 @@ def _csv_text(meta: dict, header: list[str], row_format: str, rows) -> str:
 
 
 def _write_json(path: str | None, payload) -> None:
+    import json  # deferred, like tracemalloc and the oracle module: few runs need them
+
     # numpy scalars and arrays become Python numbers and lists
     text = json.dumps(payload, indent=2, default=lambda obj: obj.tolist())
     _write_text(path, text + "\n")
@@ -223,6 +222,7 @@ def cmd_basis(config: argparse.Namespace) -> int:
     elif dense == "legs":
         table = sample_basis(make_hippo_legs(config.N)[0], t)
     elif dense == "normal":
+        from . import oracle
         table = oracle.smoothed_normal_basis(config.N, t)
     else:
         table = sample_basis(make_hippo_normal(config.N), t)
@@ -303,6 +303,7 @@ def _probe_proposition():
 
 
 def _probe_conjecture():
+    from . import oracle
     N = 256
     report = oracle.conjecture_probe(N)
     # the stated band bounds the deficit N^2/pi - Im_max = -c_estimate
@@ -325,6 +326,7 @@ def _probe_conjecture():
 
 
 def _probe_theorem():
+    from . import oracle
     n_values, points = (16, 64, 256), 256
     t = np.linspace(0.0, 3.0, points)
     report = oracle.theorem_legsd_convergence(list(n_values), t)
@@ -340,6 +342,7 @@ def _probe_theorem():
 
 
 def _probe_legendre():
+    from . import oracle
     defect = oracle.legendre_orthonormality_defect(10)
     return {
         "probe": "legendre-orthonormality",
@@ -350,6 +353,7 @@ def _probe_legendre():
 
 
 def _probe_duality(seed):
+    from . import oracle
     count = 10
     rng = np.random.default_rng(seed)
     worst_scan = 0.0
@@ -399,6 +403,7 @@ def _probe_stability(seed):
 
 
 def _probe_perturbation():
+    from . import oracle
     seeds, sigmas, N, points = (3, 13, 26), (0.3, 0.4, 0.5), 64, 128
     t = np.linspace(0.0, 3.0, points)
     baseline = np.mean(
@@ -420,6 +425,7 @@ def _probe_perturbation():
 
 
 def _probe_dss(seed):
+    from . import oracle
     rng = np.random.default_rng(seed)
     spec, dt = oracle.random_stable_spec(rng, n_half=8)
     disc = discretize(spec.A_half, spec.B_half, dt, "zoh")
@@ -461,6 +467,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
 def _auxiliary_peak_bytes(compute) -> int:
     """Peak bytes traced by tracemalloc while `compute()` runs, above those
     live before the call and beyond the array it returns."""
+    import tracemalloc
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()

@@ -254,8 +254,6 @@ def _finite_rows(u: Signal) -> np.ndarray:
 
 def _scan_operands(disc, C, u, conj_pairs):
     """Checked (a, b, C, w, rows) of a scan call, shared by both scan engines."""
-    if not disc.is_diagonal:
-        raise ValueError("recurrent_scan needs a diagonal discretization")
     C = np.asarray(C, dtype=complex)
     if len(C) != len(disc.A_bar):
         raise ValueError("C length must match the discretized spectrum")

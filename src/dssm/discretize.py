@@ -1,9 +1,10 @@
-"""Bilinear and zero-order-hold discretization of (A, B, dt).
+"""Bilinear and zero-order-hold discretization of a diagonal (A, B, dt),
+and the dense matrix exponential.
 
-Both rules accept a diagonal spectrum (1-D array, elementwise formulas) or a
-dense matrix (2-D array).  Dense solves go through a local LU factorization
-with partial pivoting and the matrix exponential is scaling-and-squaring with
-a Taylor core, so the module has no external linear-algebra dependency.
+Both rules take a diagonal spectrum (1-D arrays) and evaluate elementwise
+formulas.  The matrix exponential, which dense basis sampling needs, is
+scaling-and-squaring with a Taylor core, so the module has no external
+linear-algebra dependency.
 """
 
 import math
@@ -17,8 +18,6 @@ __all__ = [
     "discretize_bilinear",
     "discretize_zoh",
     "dense_matrix_exp",
-    "lu_factor",
-    "lu_solve",
 ]
 
 RULES = ("bilinear", "zoh")
@@ -26,58 +25,17 @@ RULES = ("bilinear", "zoh")
 
 @dataclass
 class DiscreteParams:
-    """One-step discrete pair (A_bar, B_bar) tagged with its rule and dt."""
+    """One-step discrete pair (A_bar, B_bar) of a diagonal spectrum, tagged
+    with its rule and dt."""
 
     A_bar: np.ndarray
     B_bar: np.ndarray
     rule: str
     dt: float
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.A_bar.ndim == 1
-
-
-def lu_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU factorization with partial pivoting; returns (LU, pivot rows).
-
-    Raises ValueError when a pivot is negligible relative to the matrix
-    scale, i.e. the matrix is singular to working precision.
-    """
-    A = np.array(M, dtype=np.result_type(M.dtype, float))
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("LU factorization needs a square matrix")
-    piv = np.arange(n)
-    scale = max(float(np.abs(A).max()), np.finfo(float).tiny)
-    for k in range(n):
-        i = int(np.argmax(np.abs(A[k:, k]))) + k
-        if i != k:
-            A[[k, i], :] = A[[i, k], :]
-            piv[[k, i]] = piv[[i, k]]
-        pivot = A[k, k]
-        if abs(pivot) <= n * np.finfo(float).eps * scale:
-            raise ValueError("matrix is singular to working precision")
-        A[k + 1 :, k] /= pivot
-        A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
-    return A, piv
-
-
-def lu_solve(factored: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
-    """Solve M x = b for one or several right-hand sides."""
-    LU, piv = factored
-    n = LU.shape[0]
-    x = np.array(b, dtype=np.result_type(LU.dtype, b.dtype))
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    x = x[piv, :]
-    for k in range(1, n):
-        x[k, :] -= LU[k, :k] @ x[:k, :]
-    for k in range(n - 1, -1, -1):
-        x[k, :] -= LU[k, k + 1 :] @ x[k + 1 :, :]
-        x[k, :] /= LU[k, k]
-    return x[:, 0] if squeeze else x
+    def __post_init__(self):
+        if np.ndim(self.A_bar) != 1:
+            raise ValueError("a discretization holds a diagonal spectrum (1-D A_bar)")
 
 
 def dense_matrix_exp(M: np.ndarray) -> np.ndarray:
@@ -123,51 +81,43 @@ def _orbit(M: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
     return values
 
 
-def _as_system(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+def _as_diagonal(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A = np.asarray(A)
     B = np.asarray(B)
-    if A.ndim == 1:
-        if B.shape != A.shape:
-            raise ValueError("diagonal A and B must have the same length")
-        return A, B, True
-    if A.ndim == 2 and A.shape[0] == A.shape[1] and B.shape == (A.shape[0],):
-        return A, B, False
-    raise ValueError("A must be a vector or square matrix with matching B")
+    if A.ndim != 1 or B.shape != A.shape:
+        raise ValueError("diagonal A and B must be 1-D arrays of the same length")
+    return A, B
+
+
+def _bilinear_scale(dt: float) -> tuple[float, float]:
+    """(s, h) with s = 2^-max(0, e) for dt/2 = m 2^e (1/2 <= m < 1) and
+    h = s dt/2 < 1: the bilinear map is evaluated with sI - hA and sI + hA."""
+    s = 2.0 ** -max(0, math.frexp(dt / 2.0)[1])
+    return s, s * (dt / 2.0)
 
 
 def discretize_bilinear(A: np.ndarray, B: np.ndarray, dt: float) -> DiscreteParams:
-    """Tustin map: A_bar = (I - dt/2 A)^-1 (I + dt/2 A), B_bar = (I - dt/2 A)^-1 dt B.
+    """Tustin map: A_bar = (1 - dt/2 A)^-1 (1 + dt/2 A), B_bar = (1 - dt/2 A)^-1 dt B.
 
-    Both representations evaluate it as A_bar = (s I - h A)^-1 (s I + h A)
-    and B_bar = (s I - h A)^-1 (s dt) B, with s = 2^-max(0, e) for
-    dt/2 = m 2^e (1/2 <= m < 1) and h = s dt/2 < 1.  Scaling by a power of
-    two is exact, so the result has the bits of the unscaled formula
-    wherever that formula does not overflow (|dt/2 A_n| < 2^1020), and no
-    product overflows at any dt: as dt nears the largest double the map
-    tends to its limit A_bar = -I, B_bar = -2 A^-1 B.
+    It is evaluated as A_bar = (s + h A) / (s - h A) and
+    B_bar = (s dt) B / (s - h A), with s and h from _bilinear_scale.  Scaling
+    by a power of two is exact, so the result has the bits of the unscaled
+    formula wherever that formula does not overflow (|dt/2 A_n| < 2^1020),
+    and no product overflows at any dt: as dt nears the largest double the
+    map tends to its limit A_bar = -1, B_bar = -2 B / A.
 
-    A resolvent s I - h A that is singular to working precision is a
-    ValueError, and so is a dense A_bar or B_bar that comes out non-finite
-    (a B so large that the solve overflows).
+    A mode whose resolvent s - h A_n is zero to working precision is a
+    ValueError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    A, B, diagonal = _as_system(A, B)
-    s = 2.0 ** -max(0, math.frexp(dt / 2.0)[1])
-    h = s * (dt / 2.0)
-    if diagonal:
-        denom = s - h * A
-        if (np.abs(denom) < 1e-300 * s).any():
-            raise ValueError("singular bilinear resolvent: some A_n equals 2/dt")
-        A_bar = (s + h * A) / denom
-        B_bar = (s * dt) * B / denom
-    else:
-        eye = np.eye(A.shape[0], dtype=np.result_type(A.dtype, float))
-        factored = lu_factor(s * eye - h * A)
-        A_bar = lu_solve(factored, s * eye + h * A)
-        B_bar = lu_solve(factored, (s * dt) * B)
-        if not (np.isfinite(A_bar).all() and np.isfinite(B_bar).all()):
-            raise ValueError(f"bilinear discretization of a dense system overflows at dt={dt}")
+    A, B = _as_diagonal(A, B)
+    s, h = _bilinear_scale(dt)
+    denom = s - h * A
+    if (np.abs(denom) < 1e-300 * s).any():
+        raise ValueError("singular bilinear resolvent: some A_n equals 2/dt")
+    A_bar = (s + h * A) / denom
+    B_bar = (s * dt) * B / denom
     return DiscreteParams(A_bar=A_bar, B_bar=B_bar, rule="bilinear", dt=float(dt))
 
 
@@ -202,30 +152,15 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 def discretize_zoh(A: np.ndarray, B: np.ndarray, dt: float) -> DiscreteParams:
-    """Zero-order hold: A_bar = exp(dt A), B_bar = (dt A)^-1 (exp(dt A) - I) dt B.
-
-    The dense path evaluates both blocks from one exponential of the
-    augmented matrix [[dt A, dt B], [0, 0]], which equals the series limit
-    and therefore also covers singular A.
-    """
+    """Zero-order hold: A_bar = exp(dt A), B_bar = (exp(dt A) - 1) / (dt A) dt B."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    A, B, diagonal = _as_system(A, B)
-    if diagonal:
-        z = dt * np.asarray(A, dtype=complex)
-        A_bar = np.exp(z)
-        # where dt A overflows, phi1(-inf) = 0 would pass for a finite B_bar
-        # (the dt -> inf limit is -B/A), so such a mode's B_bar is NaN
-        B_bar = np.where(np.isfinite(z), _phi1(z), np.nan) * dt * B
-    else:
-        n = A.shape[0]
-        dtype = np.result_type(A.dtype, B.dtype, float)
-        W = np.zeros((n + 1, n + 1), dtype=dtype)
-        W[:n, :n] = dt * A
-        W[:n, n] = dt * B
-        E = dense_matrix_exp(W)
-        A_bar = E[:n, :n]
-        B_bar = E[:n, n]
+    A, B = _as_diagonal(A, B)
+    z = dt * np.asarray(A, dtype=complex)
+    A_bar = np.exp(z)
+    # where dt A overflows, phi1(-inf) = 0 would pass for a finite B_bar
+    # (the dt -> inf limit is -B/A), so such a mode's B_bar is NaN
+    B_bar = np.where(np.isfinite(z), _phi1(z), np.nan) * dt * B
     return DiscreteParams(A_bar=A_bar, B_bar=B_bar, rule="zoh", dt=float(dt))
 
 

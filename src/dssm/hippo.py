@@ -79,6 +79,10 @@ def make_hippo_normal(N: int) -> DenseSpec:
     return DenseSpec(A=A_normal, B=legs.B.copy(), C=None)
 
 
+# Pivot rows held at once by the bisection (see _tridiagonal_eigenvalues).
+_PIVOT_ROWS = 64
+
+
 def _tridiagonal_eigenvalues(e: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric tridiagonal with zero diagonal
     and off-diagonal e, by Sturm-count bisection (LAPACK dstebz).
@@ -88,18 +92,20 @@ def _tridiagonal_eigenvalues(e: np.ndarray) -> np.ndarray:
     eigenvalues are scaled back.  All n eigenvalues are bisected at once: each
     pass runs the pivot recurrence q_k = -x - e_{k-1}^2 / q_{k-1} over k for
     the n midpoints together, and the number of negative pivots counts the
-    eigenvalues below each midpoint.  A pivot smaller than pivmin = sqrt(tiny)
-    in magnitude is replaced by -pivmin, so a zero pivot (odd n puts one at
-    x = 0) never divides by zero, e^2 / pivmin cannot overflow, and the next
-    pivot's e^2 / q does not underflow for e^2 above pivmin.  An interval
-    stops once its width is at most 2 eps |x| + eps ||T||, the absolute floor
-    letting the eigenvalue at zero of odd n finish with the rest instead of
-    bisecting into subnormals.
+    eigenvalues below each midpoint.  The pivots are held and counted
+    _PIVOT_ROWS rows at a time, so the memory is O(n).  A pivot smaller than
+    pivmin = sqrt(tiny) in magnitude is replaced by -pivmin, so a zero pivot
+    (odd n puts one at x = 0) never divides by zero, e^2 / pivmin cannot
+    overflow, and the next pivot's e^2 / q does not underflow for e^2 above
+    pivmin.  An interval stops once its width is at most 2 eps |x| + eps ||T||,
+    the absolute floor letting the eigenvalue at zero of odd n finish with the
+    rest instead of bisecting into subnormals.
     """
     n = len(e) + 1
     exponent = int(np.frexp(np.abs(e).max(initial=0.0))[1])
     e = np.ldexp(e, -exponent)
-    e2 = e * e
+    # q_k = -x - e2[k] / q_{k-1}, with e2[0] = 0 so that q_0 = -x
+    e2 = [0.0] + (e * e).tolist()
     eps = np.finfo(float).eps
     pivmin = np.sqrt(np.finfo(float).tiny)
     padded = np.concatenate(([0.0], np.abs(e), [0.0]))
@@ -108,21 +114,30 @@ def _tridiagonal_eigenvalues(e: np.ndarray) -> np.ndarray:
     lo = np.full(n, -bound)
     hi = np.full(n, bound)
     index = np.arange(n)
-    pivots = np.empty((n, n))
+    # row 0 carries the last pivot row of the block before (before q_0, any
+    # nonzero row: e2[0] = 0)
+    pivots = np.empty((_PIVOT_ROWS + 1, n))
+    rows = list(pivots)
     ratio = np.empty(n)
     small = np.empty(n, dtype=bool)
+    floor = -pivmin
     while (hi - lo > 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)) + eps * bound).any():
         mid = 0.5 * (lo + hi)
-        pivots[:] = -mid
-        for k in range(n):
-            q = pivots[k]
-            if k:
-                np.divide(e2[k - 1], pivots[k - 1], out=ratio)
+        negative = np.zeros(n, dtype=np.intp)
+        pivots[0] = 1.0
+        for start in range(0, n, _PIVOT_ROWS):
+            count = min(_PIVOT_ROWS, n - start)
+            block = pivots[1 : count + 1]
+            block[:] = -mid
+            for q, previous, square in zip(rows[1 : count + 1], rows, e2[start : start + count]):
+                np.divide(square, previous, out=ratio)
                 np.subtract(q, ratio, out=q)
-            np.abs(q, out=ratio)
-            np.less(ratio, pivmin, out=small)
-            np.copyto(q, -pivmin, where=small)
-        below = np.count_nonzero(pivots < 0.0, axis=0) > index
+                np.abs(q, out=ratio)
+                np.less(ratio, pivmin, out=small)
+                np.copyto(q, floor, where=small)
+            negative += np.count_nonzero(block < 0.0, axis=0)
+            pivots[0] = pivots[count]
+        below = negative > index
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
     return np.ldexp(0.5 * (lo + hi), exponent)

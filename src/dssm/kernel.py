@@ -51,8 +51,6 @@ class Kernel:
 
 
 def _weights(spec: DiagonalSpec, disc: DiscreteParams) -> np.ndarray:
-    if not disc.is_diagonal:
-        raise ValueError("diagonal kernel needs a diagonal discretization")
     if len(disc.A_bar) != spec.n_half:
         raise ValueError(
             f"spec has {spec.n_half} modes but discretization has {len(disc.A_bar)}"

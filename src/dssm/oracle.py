@@ -1,24 +1,24 @@
 """Independent ground-truth computations used for verification.
 
-Dense-matrix kernels and basis samples, the closed-form Legendre basis, the
-large-N convergence probe for the normal LegS basis, the spectrum asymptotics
-probe, and the random rank-1 perturbation experiment.  Bases are plain
-arrays with one row per basis function and one column per sample.
+The closed-form Legendre basis, the normal LegS basis integrated by a
+bilinear step solved through its tridiagonal pencil, the large-N convergence
+probe that compares the two, the spectrum asymptotics probe, and the random
+rank-1 perturbation experiment.  Bases are plain arrays with one row per
+basis function and one column per sample.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import _orbit, discretize
+from .discretize import _bilinear_scale, _orbit
 from .hippo import DenseSpec, hippo_d_spectrum, make_hippo_legs, make_hippo_normal
 from .inits import DiagonalSpec
-from .kernel import Kernel, _uniform_spacing, sample_basis
+from .kernel import _uniform_spacing, sample_basis
 
 __all__ = [
     "ConvergenceReport",
     "ConjectureReport",
-    "dense_kernel",
     "legendre_basis_table",
     "gauss_legendre_nodes",
     "legendre_orthonormality_defect",
@@ -27,10 +27,7 @@ __all__ = [
     "conjecture_probe",
     "perturbation_experiment",
     "random_stable_spec",
-    "discrete_basis",
 ]
-
-ORACLE_MAX_N = 4096
 
 # Trapezoid substeps per grid interval in `smoothed_normal_basis` (stepped as
 # A_bar^4, two squarings).
@@ -62,21 +59,6 @@ class ConjectureReport:
     band_ratio: float
     max_real_deviation: float
     scaled_imag: np.ndarray
-
-
-def dense_kernel(spec: DenseSpec, rule: str, dt: float, L: int) -> Kernel:
-    """Discrete kernel (C B_bar, C A_bar B_bar, ...) by direct iteration.
-
-    Small-scale reference path: the real part of C times the discrete basis
-    (B_bar, A_bar B_bar, ...) of the dense system.
-    """
-    if spec.N > ORACLE_MAX_N:
-        raise ValueError(f"dense oracle is capped at N={ORACLE_MAX_N}")
-    if spec.C is None:
-        raise ValueError("dense kernel needs C")
-    if L < 1:
-        raise ValueError("kernel length must be >= 1")
-    return Kernel((spec.C.astype(complex) @ discrete_basis(spec, rule, dt, L)).real)
 
 
 def legendre_basis_table(n_max: int, t: np.ndarray) -> np.ndarray:
@@ -149,6 +131,73 @@ def legendre_orthonormality_defect(n_max: int = 10) -> float:
     return float(np.abs(gram - np.eye(n_max + 1)).max())
 
 
+def _normal_bilinear_step(N: int, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """A_bar and B_bar / step of the bilinear map of the normal LegS system
+    with input map B/2 at `step`, solved through the tridiagonal pencil.
+
+    With s, h from discretize's scaling, c = s + h/2 and g = h/2, the
+    resolvent is M = sI - hA = cI - g D E D, where D = diag sqrt(2n+1) and
+    E_jk = sign(k - j).  P = I - Z (Z the upper shift) makes P^T E P = Z - Z^T,
+    so M = D P^-T K P^-1 D with the tridiagonal K = c P^T D^-2 P - g (Z - Z^T):
+    K_jj = c (m_{j-1} + m_j), K_{j,j+1} = -c m_j - g, K_{j+1,j} = -c m_j + g,
+    m_j = 1/(2j+1).  All N + 1 right-hand sides [sI + hA, s B/2] take
+    one Thomas sweep of K, vectorized over the columns; it needs no pivoting,
+    since K's symmetric part c P^T D^-2 P is positive definite.  K is far
+    worse conditioned than M (2.1e6 against 245 at N = 1024, the step of a
+    512-point grid on [0, 3]), so one step of iterative refinement against M
+    follows (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 12), with M X formed in O(N) a column from prefix sums: (E y)_j is the
+    sum of y_k over k > j minus the sum over k < j.
+    """
+    s, h = _bilinear_scale(step)
+    c, g = s + h / 2.0, h / 2.0
+    root = np.sqrt(2.0 * np.arange(N) + 1.0)[:, None]
+    m = 1.0 / (2.0 * np.arange(N) + 1.0)
+    diagonal = (c * (m + np.append(0.0, m[:-1]))).tolist()
+    upper = (-c * m[:-1] - g).tolist()
+    lower = (-c * m[:-1] + g).tolist()
+    pivots, multipliers = [diagonal[0]], []
+    for j in range(1, N):
+        multipliers.append(lower[j - 1] / pivots[-1])
+        pivots.append(diagonal[j] - multipliers[-1] * upper[j - 1])
+
+    def transform(R: np.ndarray) -> np.ndarray:  # P^T D^-1 R
+        F = R / root
+        F[1:] -= F[:-1].copy()
+        return F
+
+    def solve(F: np.ndarray) -> np.ndarray:  # D^-1 P K^-1 F, in place of F
+        for j in range(1, N):
+            F[j] -= multipliers[j - 1] * F[j - 1]
+        F[-1] /= pivots[-1]
+        for j in range(N - 2, -1, -1):
+            F[j] -= upper[j] * F[j + 1]
+            F[j] /= pivots[j]
+        F[:-1] -= F[1:].copy()
+        return F / root
+
+    def apply(X: np.ndarray) -> np.ndarray:  # M X
+        Y = root * X
+        EY = np.zeros_like(Y)
+        EY[:-1] = np.cumsum(Y[:0:-1], axis=0)[::-1]
+        EY[1:] -= np.cumsum(Y[:-1], axis=0)
+        return c * X - g * (root * EY)
+
+    R = np.empty((N, N + 1))
+    R[:, :N] = h * make_hippo_normal(N).A
+    R[np.arange(N), np.arange(N)] += s
+    # B_bar / step = M^-1 s B/2, whose right-hand side s D 1 / 2 transforms
+    # exactly to (s/2) e_0: no factor of the step enters it, so a subnormal
+    # step does not make it subnormal
+    R[:, N] = (s / 2.0) * root[:, 0]
+    F = transform(R)
+    F[:, N] = 0.0
+    F[0, N] = s / 2.0
+    X = solve(F)
+    X += solve(transform(R - apply(X)))
+    return X[:, :N], X[:, N]
+
+
 def smoothed_normal_basis(N: int, t_grid: np.ndarray) -> np.ndarray:
     """Basis of the normal LegS variant with input map B/2, numerically
     realized through trapezoid (bilinear) integration: an (N, len(t_grid))
@@ -156,12 +205,14 @@ def smoothed_normal_basis(N: int, t_grid: np.ndarray) -> np.ndarray:
 
     The grid must be uniform with a positive step.  The integrator takes
     _REFINE = 4 substeps h per grid interval, as one orbit of A_bar^4 =
-    (A_bar^2)^2, normalized by h so values are on the continuous scale.
-    The bilinear input map weights each mode by ~1/(1 - h*lambda/2), which
-    damps the huge imaginary frequencies (up to ~N^2/pi); that damping is
-    what makes the limit visible pointwise, since the exact basis only
-    converges in the weak sense.  An explicit integrator is not an option here: any stable
-    step would need h ~ 1/N^2.
+    (A_bar^2)^2, normalized by h so values are on the continuous scale; the
+    step itself is _normal_bilinear_step.  The bilinear input map weights
+    each mode by ~1/(1 - h*lambda/2), which damps the huge imaginary
+    frequencies (up to ~N^2/pi); that damping is what makes the limit
+    visible pointwise, since the exact basis only converges in the weak
+    sense.  An explicit integrator is not an option here: any stable step
+    would need h ~ 1/N^2.  A step so large that eps max|basis| at t = 0 is
+    subnormal is a ValueError.
     """
     t = np.asarray(t_grid, dtype=float)
     if len(t) < 2:
@@ -172,10 +223,13 @@ def smoothed_normal_basis(N: int, t_grid: np.ndarray) -> np.ndarray:
     if t[0] != 0.0:
         raise ValueError("grid must start at t=0")
     h = spacing / _REFINE
-    normal = make_hippo_normal(N)
-    disc = discretize(normal.A, normal.B / 2.0, h, "bilinear")
-    squared = disc.A_bar @ disc.A_bar
-    return _orbit(squared @ squared, disc.B_bar / h, len(t))
+    A_bar, start = _normal_bilinear_step(N, h)
+    # near the largest step the basis shrinks as 1/h; once eps max|basis| is
+    # subnormal, the table's small entries are rounding noise, not values
+    if np.abs(start).max() * np.finfo(float).eps < np.finfo(float).tiny:
+        raise ValueError(f"the basis at step {h!r} falls below the normal range")
+    squared = A_bar @ A_bar
+    return _orbit(squared @ squared, start, len(t))
 
 
 def theorem_legsd_convergence(
@@ -260,14 +314,3 @@ def random_stable_spec(rng: np.random.Generator, n_half: int | None = None) -> t
     dt = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e-1))))
     return spec, dt
 
-
-def discrete_basis(spec: DenseSpec, rule: str, dt: float, L: int) -> np.ndarray:
-    """The (N, L) array whose columns are B_bar, A_bar B_bar, ...,
-    A_bar^{L-1} B_bar: the basis on the step grid.
-
-    Discrete analogue of the continuous basis sample; the grid is l * dt.
-    """
-    if L < 1:
-        raise ValueError("need L >= 1")
-    disc = discretize(spec.A, spec.B, dt, rule)
-    return _orbit(disc.A_bar, disc.B_bar, L)

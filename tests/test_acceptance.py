@@ -19,12 +19,13 @@ from dssm.inits import DiagonalSpec, constrain_real_parts
 from dssm.kernel import PAIR_OUTPUT_WEIGHT, dss_softmax_kernel, vandermonde_kernel
 from dssm.oracle import (
     conjecture_probe,
-    dense_kernel,
     legendre_orthonormality_defect,
     perturbation_experiment,
     random_stable_spec,
     theorem_legsd_convergence,
 )
+
+from dense_reference import dense_kernel
 
 
 def announce(number: int, name: str, ok: bool, detail: str) -> str:

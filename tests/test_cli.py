@@ -219,6 +219,34 @@ class TestBasisCommand:
                      "--rows", "2", "-o", str(out)]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("t_max, code", [("1e290", 0), ("1e293", 2), ("1.7e308", 2)])
+    def test_dense_normal_step_below_the_normal_range(self, t_max, code, capsys):
+        # at --t-max 1.7e308 the basis is about 2/h = 4.7e-308: its rounding
+        # noise is subnormal, and the table printed 5e-324 where the exact
+        # rational map rounds to 0 and zeros of the wrong sign
+        argv = ["basis", "--dense", "normal", "--N", "8", "--points", "2", "--t-max", t_max]
+        got, out, err = run(argv, capsys)
+        assert got == code
+        if code:
+            assert out == "" and "falls below the normal range" in err
+        else:
+            rows = read_csv_text(out)[1:]
+            assert len(rows) == 8 * 2
+            assert np.isfinite([[float(field) for field in row] for row in rows]).all()
+
+    @pytest.mark.parametrize("t_max", ["1e-310", "5e-323"])
+    def test_dense_normal_subnormal_step_keeps_the_limit(self, t_max, capsys):
+        # a subnormal step leaves A_bar = I and every column at the h -> 0
+        # limit B/2 = sqrt(2n+1)/2; forming B_bar before dividing it by the
+        # step printed 0 and 1 for rows 0 and 1 at 5e-323
+        argv = ["basis", "--dense", "normal", "--N", "4", "--points", "3", "--rows", "0",
+                "--t-max", t_max]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        values = np.array([[float(field) for field in row] for row in read_csv_text(out)[1:]])
+        np.testing.assert_allclose(values[:, 2], np.sqrt(2.0 * values[:, 0] + 1.0) / 2.0,
+                                   rtol=1e-15, atol=0)
+
     def test_single_point_grid(self, capsys):
         code, out, _ = run(["basis", "--init", "lin", "--N", "4", "--points", "1",
                             "--rows", "0"], capsys)
@@ -720,8 +748,8 @@ def test_public_api_budget():
     removes a traced span as well as public surface."""
     counts = {name: len(importlib.import_module(f"dssm.{name}").__all__)
               for name in ("hippo", "inits", "discretize", "kernel", "conv", "oracle")}
-    assert counts == {"hippo": 4, "inits": 16, "discretize": 7, "kernel": 6, "conv": 4,
-                      "oracle": 12}
+    assert counts == {"hippo": 4, "inits": 16, "discretize": 5, "kernel": 6, "conv": 4,
+                      "oracle": 10}
 
 
 def test_state_size_is_derived():

@@ -306,10 +306,11 @@ class TestRecurrentScan:
         assert state.x.shape == (2, 4)
 
     def test_rejects_dense_discretization(self):
-        disc = DiscreteParams(
-            A_bar=np.eye(2, dtype=complex), B_bar=np.ones(2, dtype=complex), rule="zoh", dt=0.1
-        )
+        # a discretization holds a diagonal spectrum, so none reaches the scan
         with pytest.raises(ValueError, match="diagonal"):
+            disc = DiscreteParams(
+                A_bar=np.eye(2, dtype=complex), B_bar=np.ones(2, dtype=complex), rule="zoh", dt=0.1
+            )
             recurrent_scan(disc, np.ones(2), Signal(np.zeros(4)))
 
     def test_rejects_mismatched_c(self):

@@ -9,11 +9,11 @@ from dssm.discretize import (
     discretize,
     discretize_bilinear,
     discretize_zoh,
-    lu_factor,
-    lu_solve,
 )
 from dssm.hippo import make_hippo_legs
 from dssm.inits import init_lin
+
+from dense_reference import dense_discretize
 
 
 def taylor_exp_oracle(M, terms=30, squarings=None):
@@ -46,37 +46,25 @@ class TestBilinear:
         spec = init_lin(8)
         dt = 0.01
         diag = discretize_bilinear(spec.A_half, spec.B_half, dt)
-        dense = discretize_bilinear(np.diag(spec.A_half), spec.B_half.copy(), dt)
-        np.testing.assert_allclose(np.diag(dense.A_bar), diag.A_bar, atol=1e-14)
-        np.testing.assert_allclose(dense.B_bar, diag.B_bar, atol=1e-14)
+        A_bar, B_bar = dense_discretize(np.diag(spec.A_half), spec.B_half, dt, "bilinear")
+        np.testing.assert_allclose(np.diag(A_bar), diag.A_bar, atol=1e-14)
+        np.testing.assert_allclose(B_bar, diag.B_bar, atol=1e-14)
 
     def test_singular_resolvent_rejected(self):
         dt = 0.5
         with pytest.raises(ValueError, match="singular"):
             discretize_bilinear(np.array([2.0 / dt]), np.array([1.0]), dt)
 
-    def test_dense_singular_resolvent_rejected(self):
-        dt = 0.5
-        A = np.diag([2.0 / dt, -1.0])
-        with pytest.raises(ValueError, match="singular"):
-            discretize_bilinear(A, np.ones(2), dt)
-
-    def test_dense_nonfinite_rejected(self):
-        # 1 - 1.999999/2 = 5e-7, so B_bar = 1e304 / 5e-7 overflows: the dense
-        # path raises rather than return an inf B_bar
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows"):
-            discretize_bilinear(np.diag([1.999999]), np.array([1e304]), 1.0)
-
     @pytest.mark.parametrize("dt", [3.0, 1e10, 1e307, 1e308, 1.7e308])
     def test_dense_embedding_matches_diagonal_at_large_dt(self, dt):
-        # no product overflows at any dt, so both representations return the
-        # map, and near the largest double it is the limit -1, -2B/A
+        # no product overflows at any dt, so the diagonal map matches the
+        # dense reference, and near the largest double it is the limit -1, -2B/A
         A = np.concatenate([init_lin(16).A_half, [-1e-3, -1.0, -1e3]])
         B = np.concatenate([init_lin(16).B_half, [1.0, 2.0, 3.0]])
         diag = discretize_bilinear(A, B, dt)
-        dense = discretize_bilinear(np.diag(A), B.copy(), dt)
-        np.testing.assert_allclose(dense.A_bar, np.diag(diag.A_bar), rtol=1e-15, atol=0)
-        np.testing.assert_allclose(dense.B_bar, diag.B_bar, rtol=1e-15, atol=0)
+        A_bar, B_bar = dense_discretize(np.diag(A), B, dt, "bilinear")
+        np.testing.assert_allclose(A_bar, np.diag(diag.A_bar), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(B_bar, diag.B_bar, rtol=1e-15, atol=0)
         if dt >= 1e307:
             np.testing.assert_allclose(diag.A_bar, -1.0, rtol=1e-15, atol=0)
             np.testing.assert_allclose(diag.B_bar, -2.0 * B / A, rtol=1e-15, atol=0)
@@ -96,8 +84,6 @@ class TestBilinear:
         # dt = 8: s = 1/8, h = 1/2, and s - h A = 0 at A = 1/4 = 2/dt
         with pytest.raises(ValueError, match="singular"):
             discretize_bilinear(np.array([0.25]), np.array([1.0]), 8.0)
-        with pytest.raises(ValueError, match="singular"):
-            discretize_bilinear(np.array([[0.25]]), np.array([1.0]), 8.0)
 
     def test_scaled_singular_threshold(self):
         # the threshold scales with s, so the same modes are rejected as by the
@@ -112,7 +98,7 @@ class TestBilinear:
         disc = discretize_bilinear(np.array([-1.0]), np.array([1.0]), 0.25)
         assert disc.rule == "bilinear"
         assert disc.dt == 0.25
-        assert disc.is_diagonal
+        assert disc.A_bar.ndim == 1
 
 
 class TestZoh:
@@ -155,25 +141,26 @@ class TestZoh:
         np.testing.assert_allclose(_phi1(z), reference, rtol=1e-14, atol=0.0)
 
     def test_dense_legs_matches_taylor_oracle(self):
+        # the dense reference: dense_matrix_exp of the augmented matrix
         legs, _ = make_hippo_legs(4)
         dt = 0.1
-        disc = discretize_zoh(legs.A, legs.B, dt)
+        A_bar, B_bar = dense_discretize(legs.A, legs.B, dt, "zoh")
         expected_A = taylor_exp_oracle(dt * legs.A)
-        np.testing.assert_allclose(disc.A_bar, expected_A.real, atol=1e-12)
+        np.testing.assert_allclose(A_bar, expected_A.real, atol=1e-12)
         # B_bar = (dt A)^-1 (exp(dt A) - I) dt B evaluated densely
         M = dt * legs.A
         expected_B = np.linalg.solve(M, (expected_A.real - np.eye(4)) @ (dt * legs.B))
-        np.testing.assert_allclose(disc.B_bar, expected_B, atol=1e-12)
+        np.testing.assert_allclose(B_bar, expected_B, atol=1e-12)
 
     def test_dense_singular_dynamics_served_by_series(self):
-        # nilpotent A is singular; the augmented exponential still gives the
-        # exact phi-function value dt*B + dt^2/2 * A B
+        # nilpotent A is singular; the augmented exponential of the dense
+        # reference still gives the exact phi-function value dt*B + dt^2/2 * A B
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         B = np.array([1.0, 1.0])
         dt = 0.25
-        disc = discretize_zoh(A, B, dt)
-        np.testing.assert_allclose(disc.A_bar, np.eye(2) + dt * A, atol=1e-14)
-        np.testing.assert_allclose(disc.B_bar, dt * B + dt**2 / 2.0 * (A @ B), atol=1e-14)
+        A_bar, B_bar = dense_discretize(A, B, dt, "zoh")
+        np.testing.assert_allclose(A_bar, np.eye(2) + dt * A, atol=1e-14)
+        np.testing.assert_allclose(B_bar, dt * B + dt**2 / 2.0 * (A @ B), atol=1e-14)
 
     def test_overflowing_step_gives_a_non_finite_input_map(self):
         # at dt = 1e308, dt A = -inf for A = -2, where phi1 is 0: a B_bar of 0
@@ -260,27 +247,6 @@ class TestInvariants:
         dt = 0.1 / np.abs(A).max()  # keeps |dt A| <= 0.1
         disc = discretize_zoh(A, B, dt)
         assert (np.abs(disc.B_bar - dt * B) <= np.abs(dt**2 * A * B)).all()
-
-
-class TestLu:
-    def test_solve_matches_numpy(self):
-        rng = np.random.default_rng(8)
-        M = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        b = rng.standard_normal((12, 3))
-        x = lu_solve(lu_factor(M), b)
-        np.testing.assert_allclose(x, np.linalg.solve(M, b), atol=1e-11)
-
-    def test_vector_rhs(self):
-        rng = np.random.default_rng(9)
-        M = rng.standard_normal((7, 7))
-        b = rng.standard_normal(7)
-        x = lu_solve(lu_factor(M), b)
-        np.testing.assert_allclose(M @ x, b, atol=1e-12)
-
-    def test_singular_rejected(self):
-        M = np.ones((3, 3))
-        with pytest.raises(ValueError, match="singular"):
-            lu_factor(M)
 
 
 class TestDispatch:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -137,8 +140,9 @@ class TestHermitianEigendecompose:
         np.testing.assert_allclose(_tridiagonal_eigenvalues(np.array([1.0])), [-1.0, 1.0],
                                    atol=1e-14)
 
-    @pytest.mark.parametrize("n", [2, 5, 17, 33, 64])
+    @pytest.mark.parametrize("n", [2, 5, 17, 33, 64, 65, 66, 129, 200])
     def test_matches_lapack_oracle(self, n):
+        # 65 and up run the pivot recurrence across blocks of 64 rows
         e = np.random.default_rng(n).standard_normal(n - 1)
         np.testing.assert_allclose(_tridiagonal_eigenvalues(e), np.linalg.eigvalsh(_dense(e)),
                                    atol=1e-11)
@@ -179,6 +183,27 @@ class TestHermitianEigendecompose:
             warnings.simplefilter("error")
             values = _tridiagonal_eigenvalues(1e-310 * E8)
         np.testing.assert_allclose(values / 1e-310, np.linalg.eigvalsh(_dense(E8)), atol=1e-9)
+
+    def test_pivot_memory_does_not_grow_as_n_squared(self):
+        # one n x n table of pivots is 33.6 MB at n = 2048; the engine holds
+        # 65 rows of n at a time (1.5 MB peak under tracemalloc, which would
+        # slow this run 3x).  A fresh process reports how far the call raises
+        # its peak resident size (Linux ru_maxrss, in KiB)
+        script = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from dssm.hippo import _tridiagonal_eigenvalues\n"
+            "k = np.arange(1.0, 2048)\n"
+            "beta = (2048 * 2048 - k * k) / (2.0 * np.sqrt(4.0 * k * k - 1.0))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "_tridiagonal_eigenvalues(beta)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(hippo.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                               text=True, check=True)
+        assert int(child.stdout) * 1024 <= 2048 * 2048 * 8 / 8
 
     @pytest.mark.parametrize("N", [9, 64, 255])
     def test_same_engine_as_hippo_d_spectrum(self, N):

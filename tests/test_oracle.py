@@ -3,8 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dssm import oracle
-from dssm.discretize import dense_matrix_exp, discretize, lu_factor
+from dssm.discretize import DiscreteParams, dense_matrix_exp, discretize
 from dssm.hippo import (
     DenseSpec,
     hippo_d_spectrum,
@@ -15,9 +14,8 @@ from dssm.inits import DiagonalSpec, init_real
 from dssm.kernel import dss_softmax_kernel, sample_basis, vandermonde_kernel
 from dssm.oracle import (
     CONJECTURE_MIN_N,
+    _normal_bilinear_step,
     conjecture_probe,
-    dense_kernel,
-    discrete_basis,
     gauss_legendre_nodes,
     legendre_basis_table,
     legendre_orthonormality_defect,
@@ -26,6 +24,8 @@ from dssm.oracle import (
     smoothed_normal_basis,
     theorem_legsd_convergence,
 )
+
+from dense_reference import dense_discretize, dense_kernel, discrete_basis
 
 
 def dense_scan_oracle(A_bar, B_bar, C, L):
@@ -63,27 +63,16 @@ class TestDenseKernel:
         C = rng.standard_normal(N)
         spec = DenseSpec(A=legs.A, B=legs.B, C=C)
         kernel = dense_kernel(spec, rule, dt, L)
-        disc = discretize(legs.A, legs.B, dt, rule)
-        reference = dense_scan_oracle(disc.A_bar, disc.B_bar, C.astype(complex), L)
+        A_bar, B_bar = dense_discretize(legs.A, legs.B, dt, rule)
+        reference = dense_scan_oracle(A_bar, B_bar, C.astype(complex), L)
         scale = np.abs(reference).max()
         assert np.abs(kernel.values - reference).max() <= 1e-10 * scale
 
     def test_triangular_structure_preserved_by_bilinear(self):
         legs, _ = make_hippo_legs(4)
-        disc = discretize(legs.A, legs.B, 0.1, "bilinear")
-        upper = np.triu(disc.A_bar, 1)
+        A_bar, _ = dense_discretize(legs.A, legs.B, 0.1, "bilinear")
+        upper = np.triu(A_bar, 1)
         assert np.abs(upper).max() <= 1e-14
-
-    def test_requires_c(self):
-        legs, _ = make_hippo_legs(4)
-        with pytest.raises(ValueError, match="C"):
-            dense_kernel(DenseSpec(A=legs.A, B=legs.B, C=None), "zoh", 0.1, 8)
-
-    def test_oracle_size_cap(self, monkeypatch):
-        monkeypatch.setattr(oracle, "ORACLE_MAX_N", 1)  # force the guard
-        big = DenseSpec(A=np.zeros((2, 2)), B=np.zeros(2), C=np.zeros(2))
-        with pytest.raises(ValueError, match="capped"):
-            dense_kernel(big, "zoh", 0.1, 4)
 
 
 class TestLegendre:
@@ -136,13 +125,13 @@ class TestTheoremConvergence:
         t = np.linspace(0.0, 3.0, 65)
         h = (t[1] - t[0]) / 4
         normal = make_hippo_normal(N)
-        disc = discretize(normal.A, normal.B / 2.0, h, "bilinear")
-        v = disc.B_bar / h
+        A_bar, B_bar = dense_discretize(normal.A, normal.B / 2.0, h, "bilinear")
+        v = B_bar / h
         reference = np.empty((N, len(t)))
         for j in range(len(t)):
             reference[:, j] = v
             for _ in range(4):
-                v = disc.A_bar @ v
+                v = A_bar @ v
         table = smoothed_normal_basis(N, t)
         assert np.abs(table - reference).max() <= 1e-13 * np.abs(reference).max()
 
@@ -155,9 +144,39 @@ class TestTheoremConvergence:
         spec = DenseSpec(A=normal.A, B=normal.B / 2.0, C=None)
         bound = np.abs(normal.B).max()
         for rule in ("bilinear", "zoh"):
-            table = discrete_basis(spec, rule, dt, L)
+            table = discrete_basis(spec.A, spec.B, rule, dt, L)
             assert np.isfinite(table).all()
             assert np.abs(table / dt).max() <= 4.0 * bound
+
+
+class TestNormalBilinearStep:
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 33, 64])
+    def test_difference_congruence_is_exact(self, N):
+        # P^T E P = Z - Z^T in integers, with P = I - Z (Z the upper shift)
+        # and E_jk = sign(k - j): the identity the pencil rests on
+        j, k = np.indices((N, N))
+        E = np.sign(k - j)
+        Z = np.eye(N, k=1, dtype=int)
+        P = np.eye(N, dtype=int) - Z
+        np.testing.assert_array_equal(P.T @ E @ P, Z - Z.T)
+
+    @pytest.mark.parametrize(
+        "N, step, bound",
+        [(64, 3 / 511 / 4, 1e-14), (256, 3 / 511 / 4, 1e-14), (1024, 3 / 511 / 4, 1e-14),
+         (256, 1.47, 5e-13), (64, 100.0, 5e-13), (256, 1e10, 5e-13), (64, 1e300, 5e-13),
+         (8, 1.7e308 / 4, 5e-13)],
+    )
+    def test_matches_lapack_solve(self, N, step, bound):
+        # the refined pencil against numpy.linalg.solve of the dense resolvent,
+        # relative to max|.|.  M = cI - g D E D is worse conditioned at large
+        # steps, where c nears g: there the dense LU this replaced was 1.9e-13
+        # off the same reference (N = 256, step 1e10)
+        normal = make_hippo_normal(N)
+        A_ref, B_ref = dense_discretize(normal.A, normal.B / 2.0, step, "bilinear")
+        A_bar, B_bar = _normal_bilinear_step(N, step)
+        B_ref /= step  # the step returns B_bar / step
+        assert np.abs(A_bar - A_ref).max() <= bound * np.abs(A_ref).max()
+        assert np.abs(B_bar - B_ref).max() <= bound * np.abs(B_ref).max()
 
 
 class TestConjectureProbe:
@@ -247,7 +266,6 @@ class TestRandomStableSpec:
         assert dt == dt2
 
 
-_DENSE = DenseSpec(A=-np.eye(2), B=np.ones(2), C=np.ones(2))
 _SPEC = DiagonalSpec(A_half=np.array([-0.5 + 1j]), B_half=np.ones(1), C_half=np.ones(1))
 _T = np.linspace(0.0, 1.0, 3)
 
@@ -255,20 +273,17 @@ _T = np.linspace(0.0, 1.0, 3)
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: lu_factor(np.zeros((2, 3))), ValueError, "square"),
         (lambda: dense_matrix_exp(np.zeros((2, 3))), ValueError, "square"),
         (lambda: discretize(np.zeros(2), np.ones(3), 0.1, "zoh"), ValueError, "same length"),
-        (lambda: discretize(np.zeros((2, 3)), np.ones(2), 0.1, "zoh"), ValueError, "square matrix"),
-        (lambda: discretize(-np.eye(2), np.ones(3), 0.1, "bilinear"), ValueError, "matching B"),
+        (lambda: discretize(np.zeros((2, 3)), np.ones(2), 0.1, "zoh"), ValueError, "1-D"),
+        (lambda: discretize(-np.eye(2), np.ones(3), 0.1, "bilinear"), ValueError, "1-D"),
         (lambda: hippo_d_spectrum(0), ValueError, "state size"),
         (lambda: init_real(0), ValueError, "state size"),
         (lambda: DiagonalSpec(A_half=-np.ones(2), B_half=np.ones(3)), ValueError, "B_half"),
-        (lambda: vandermonde_kernel(_SPEC, discretize(_DENSE.A, _DENSE.B, 0.1, "zoh"), 4),
-         ValueError, "diagonal discretization"),
+        (lambda: vandermonde_kernel(_SPEC, DiscreteParams(-np.eye(2), np.ones(2), "zoh", 0.1), 4),
+         ValueError, "diagonal spectrum"),
         (lambda: dss_softmax_kernel(_SPEC, discretize(_SPEC.A_half, _SPEC.B_half, 0.1, "zoh"), 0),
          ValueError, "length"),
-        (lambda: dense_kernel(_DENSE, "zoh", 0.1, 0), ValueError, "length"),
-        (lambda: discrete_basis(_DENSE, "zoh", 0.1, 0), ValueError, "L >= 1"),
         (lambda: sample_basis("not a spec", _T), TypeError, "spec"),
         (lambda: legendre_basis_table(-1, _T), ValueError, "n_max"),
         (lambda: gauss_legendre_nodes(0), ValueError, "node"),
@@ -277,10 +292,10 @@ _T = np.linspace(0.0, 1.0, 3)
         (lambda: smoothed_normal_basis(4, np.zeros(3)), ValueError, "step must be positive"),
         (lambda: smoothed_normal_basis(4, -_T), ValueError, "step must be positive"),
     ],
-    ids=["lu-factor-non-square", "matrix-exp-non-square", "mismatched-A-B", "non-square-A",
+    ids=["matrix-exp-non-square", "mismatched-A-B", "non-square-A",
          "dense-A-mismatched-B", "spectrum-N-0",
          "init-real-N-0", "spec-B-length", "kernel-of-dense-disc", "softmax-L-0",
-         "dense-kernel-L-0", "discrete-basis-L-0", "sample-basis-non-spec",
+         "sample-basis-non-spec",
          "legendre-n-max-negative", "gauss-legendre-no-nodes", "smoothed-one-point",
          "smoothed-grid-not-at-0", "smoothed-zero-step", "smoothed-negative-step"],
 )

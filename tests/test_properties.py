@@ -23,7 +23,9 @@ from dssm.discretize import RULES, discretize
 from dssm.hippo import DenseSpec
 from dssm.inits import INIT_NAMES
 from dssm.kernel import STREAM_CHUNK, vandermonde_kernel
-from dssm.oracle import dense_kernel, random_stable_spec
+from dssm.oracle import random_stable_spec
+
+from dense_reference import dense_discretize, dense_kernel
 
 deterministic = settings(derandomize=True, deadline=None, database=None, max_examples=15)
 
@@ -172,7 +174,7 @@ def reference_kernel(argv, dt, L):
         # at dt = 1e308 the dense ZOH exponential overflows and raises
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if config.softmax:
-                a_bar = np.diag(discretize(dense.A, b, dt, config.disc).A_bar)
+                a_bar = np.diag(dense_discretize(dense.A, b, dt, config.disc)[0])
                 dense.C = c / np.vander(a_bar, L, increasing=True).sum(axis=1)
             return dense_kernel(dense, config.disc, dt, L).values
     except ValueError:

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -58,3 +59,33 @@ def test_line_census_names_an_unreached_line(tmp_path):
     count, lines = line_census.report(str(tmp_path), [str(path)], hits)
     assert count == 1
     assert lines == ["synthetic.py: 1 of 4 unreached", "  sign: 1 of 3: 3"]
+
+
+def test_tier1_run_counts_tests_and_times_the_suite(monkeypatch):
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append((cmd, cwd, env["PYTHONPATH"]))
+        return subprocess.CompletedProcess(cmd, 1, "..F.E\n1 failed, 3 passed, 1 error in 0.02s\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    run = bench_pairs._run_tier1("/checkout", "change", 7)
+    cmd, cwd, path = calls[0]
+    assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert (cwd, path) == ("/checkout", os.pathsep.join([os.path.join("/checkout", "src"), "elsewhere"]))
+    assert (run["side"], run["workload"], run["seed"], run["trace"]) == ("change", "tier1", 7, 0)
+    assert (run["result"]["attempted"], run["result"]["failed"]) == (5, 2)
+    assert run["result"]["metrics"]["wall_s"]["value"] > 0
+    runs = [dict(run, side=side, seed=seed) for side in ("parent", "change") for seed in (7, 8)]
+    summary = bench_pairs._summary(runs, bench_pairs.TIER1_END_TO_END)
+    assert (summary["pairs"], summary["parent_fail"], summary["wall_s"]["ties"]) == (2, "4/10", 2)
+
+
+def test_tier1_run_rejects_a_suite_that_did_not_run(monkeypatch):
+    # pytest exits 2 to 5 when interrupted, on an internal or usage error, or
+    # with no tests: that is no timing of the suite
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda cmd, **kwargs: subprocess.CompletedProcess(cmd, 4, "", "usage"))
+    with pytest.raises(SystemExit, match="exited 4"):
+        bench_pairs._run_tier1("/checkout", "parent", 1)

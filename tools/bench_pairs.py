@@ -1,9 +1,11 @@
-"""Paired perfbench runs of two checkouts, written as one BENCH file.
+"""Paired perfbench or tier-1 runs of two checkouts, written as one BENCH file.
 
 Usage (from the repository root):
 
     python tools/bench_pairs.py PARENT_ROOT CHILD_ROOT --workload W \
         --seeds S1 S2 ... --seed-traced S --out BENCH_N.json [--what TEXT]
+    python tools/bench_pairs.py PARENT_ROOT CHILD_ROOT --workload tier1 \
+        --seeds S1 S2 ... --out BENCH_N.json [--what TEXT]
 
 PARENT_ROOT and CHILD_ROOT are checkouts holding `perfbench/run.py` and
 `src/dssm`; each run is `python3 perfbench/run.py --workload W --seed S
@@ -15,6 +17,13 @@ the child first for odd i.  Then one traced run per side, with --seed-traced,
 gives the per-layer metrics (parent first).  The child's side is named
 "change" in the file.
 
+The `tier1` workload runs the Tier-1 verify command,
+`PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q
+--continue-on-collection-errors`, in each root instead, paired and ordered
+the same way; the seed only labels the pair.  Its one end-to-end metric is
+the command's wall time `wall_s`, a failed or erroring test counts as a failed
+op, and there is no traced run.
+
 The file holds `order`, `seeds_untraced`, `seed_traced`, `summary` (per
 workload and end-to-end metric: each side's median and quartiles, the pairs
 the change won by the metric's `better` direction, the median ratio and the
@@ -25,12 +34,18 @@ so one file can gather several invocations.
 """
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
+import re
 import statistics
 import subprocess
 import sys
 import time
+
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_END_TO_END = [{"name": "wall_s", "better": "lower"}]
 
 def _run(root, side, workload, seed, seconds, trace):
     start = time.time()
@@ -48,6 +63,26 @@ def _run(root, side, workload, seed, seconds, trace):
     record["environment"] = json.loads(lines[-2])["environment"]
     print(f"{side:6} {workload} seed {seed} trace {trace}: {record['elapsed_s']:.0f} s", file=sys.stderr)
     return record
+
+
+def _run_tier1(root, side, seed):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:  # 1: some test failed
+        raise SystemExit(f"{side} tier1 seed {seed} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    counts = {word.rstrip("s"): int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", lines[-1])}
+    failed = counts.get("failed", 0) + counts.get("error", 0)
+    result = {"attempted": counts.get("passed", 0) + failed, "failed": failed, "summary": lines[-1],
+              "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+    environment = {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
+                   "cpu_count": os.cpu_count()}
+    print(f"{side:6} tier1 seed {seed}: {wall:.1f} s, {lines[-1]}", file=sys.stderr)
+    return {"side": side, "workload": "tier1", "seed": seed, "trace": 0, "exit": proc.returncode,
+            "elapsed_s": wall, "result": result, "environment": environment}
 
 
 def _spread(values):
@@ -91,23 +126,31 @@ def main(argv=None):
     parser.add_argument("child_root")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seed-traced", type=int, required=True)
+    parser.add_argument("--seed-traced", type=int, help="needed for a perfbench workload")
     parser.add_argument("--out", required=True)
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("need at least two seeds, one per pair")
+    tier1 = args.workload == "tier1"
+    if not tier1 and args.seed_traced is None:
+        parser.error("a perfbench workload needs --seed-traced")
     roots = {"parent": os.path.abspath(args.parent_root), "change": os.path.abspath(args.child_root)}
     with open(os.path.join(roots["parent"], "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
     seconds = spec["run_seconds"]
+    end_to_end = TIER1_END_TO_END if tier1 else spec["end_to_end"]
 
     runs = []
     for i, seed in enumerate(args.seeds):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs.append(_run(roots[side], side, args.workload, seed, seconds, 0))
-    for side in ("parent", "change"):
-        runs.append(_run(roots[side], side, args.workload, args.seed_traced, seconds, 1))
+            if tier1:
+                runs.append(_run_tier1(roots[side], side, seed))
+            else:
+                runs.append(_run(roots[side], side, args.workload, seed, seconds, 0))
+    if not tier1:
+        for side in ("parent", "change"):
+            runs.append(_run(roots[side], side, args.workload, args.seed_traced, seconds, 1))
 
     bench = {}
     if os.path.exists(args.out):
@@ -115,30 +158,34 @@ def main(argv=None):
             bench = json.load(handle)
     env = runs[0]["environment"]
     order = (f"{args.workload}: pair i (seed {args.seeds[0]}, ...) runs parent first for even i and change "
-             f"first for odd i, {len(args.seeds)} pairs; then one traced run per side with seed "
-             f"{args.seed_traced}, parent first")
+             f"first for odd i, {len(args.seeds)} pairs; ")
+    if tier1:
+        order += f"each run is `python {' '.join(TIER1)}` with the side's src first on PYTHONPATH"
+    else:
+        order += f"then one traced run per side with seed {args.seed_traced}, parent first"
     previous = [line for line in bench.get("order", "").split("\n") if line and not line.startswith(args.workload + ":")]
     bench.update({
         "what": args.what or bench.get("what", ""),
         "command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds "
                    f"{seconds:g} --trace 0|1, paired by tools/bench_pairs.py",
         "parent_commit": _commit(roots["parent"]),
-        "numpy": env["numpy"],
-        "cpu_count": env["cpu_count"],
-        "python": env["python"],
-        "environment": env,
-        "order": "\n".join(previous + [order]),
     })
+    if not tier1 or "environment" not in bench:  # perfbench records the fuller environment
+        bench.update({"numpy": env["numpy"], "cpu_count": env["cpu_count"], "python": env["python"],
+                      "environment": env})
+    bench["order"] = "\n".join(previous + [order])
     kept = [r for r in bench.get("runs", []) if r["workload"] != args.workload]
     bench["runs"] = kept + runs
     bench["seeds_untraced"] = sorted({r["seed"] for r in bench["runs"] if r["trace"] == 0})
     bench["seed_traced"] = sorted({r["seed"] for r in bench["runs"] if r["trace"] == 1})
-    bench.setdefault("summary", {})[args.workload] = _summary(runs, spec["end_to_end"])
-    bench.setdefault("traced_per_layer", {})[args.workload] = {
-        r["side"]: {k: v["value"] for k, v in r["result"]["metrics"].items()} for r in runs if r["trace"] == 1
-    }
+    bench.setdefault("summary", {})[args.workload] = _summary(runs, end_to_end)
+    if not tier1:
+        bench.setdefault("traced_per_layer", {})[args.workload] = {
+            r["side"]: {k: v["value"] for k, v in r["result"]["metrics"].items()} for r in runs if r["trace"] == 1
+        }
     for key in ("summary", "traced_per_layer", "runs"):  # keep these last, as in earlier BENCH files
-        bench[key] = bench.pop(key)
+        if key in bench:
+            bench[key] = bench.pop(key)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(bench, handle, indent=1)
         handle.write("\n")
